@@ -8,10 +8,8 @@ passes through literally, so abstraction preserves segment count.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Union
 
 from .model import ConcretePath, Index, Key
@@ -64,8 +62,11 @@ class AbstractionRuleSet:
         self.rules = rules
         self._by_prefix = table
 
+    def rule_for(self, prefix: Construct) -> AbstractionRule | None:
+        return self._by_prefix.get(prefix)
+
     def placeholder_for(self, prefix: Construct, key: str) -> Placeholder | None:
-        rule = self._by_prefix.get(prefix)
+        rule = self.rule_for(prefix)
         if rule is None or key in rule.except_keys:
             return None
         return Placeholder(rule.kind)
@@ -187,5 +188,6 @@ def ruleset_to_data(rules: AbstractionRuleSet) -> list[dict]:
 
 def default_ruleset() -> AbstractionRuleSet:
     """The rule table bundled with the default catalog."""
-    raw = json.loads(resources.files("wflens.data").joinpath("catalog.json").read_text("utf-8"))
-    return ruleset_from_data(raw["rules"])
+    from .catalog import default_catalog  # the catalog module imports this one
+
+    return default_catalog().rules

@@ -270,6 +270,13 @@ def validate_workflow(
         for path in paths:
             construct = abstract_path(path, catalog.rules)
             examples.setdefault(construct, path)
+    return validation_report(bag, catalog, examples)
+
+
+def validation_report(
+    bag: ConstructBag, catalog: Catalog, examples: dict[Construct, ConcretePath]
+) -> ValidationReport:
+    """:func:`validate_workflow` given each construct's first concrete path."""
     known = []
     unknown = []
     for construct in sorted(bag.counts, key=render_construct):

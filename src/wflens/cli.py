@@ -544,19 +544,28 @@ def _load_scan_tables(path: str):
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise InputError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+                if not isinstance(record, dict):
+                    raise InputError(f"{path}:{lineno}: scan record is not a JSON object")
                 if "n_paths" not in record:
                     continue  # parse-failure records carry no sizes
-                workflow_id = record.get("workflow_id") or record["file"]
-                for metric in SIZE_METRICS:
-                    sizes[metric][workflow_id] = float(record[metric])
-                for feature, usage in record.get("features", {}).items():
-                    if feature not in presence:
-                        continue
-                    presence[feature][workflow_id] = bool(
-                        usage["present"] and not usage["structural_only"]
-                    )
-                    path_counts[feature][workflow_id] = int(usage["n_paths"])
-    except OSError as exc:
+                try:
+                    workflow_id = record.get("workflow_id") or record["file"]
+                    if workflow_id in sizes["n_paths"]:
+                        raise InputError(f"{path}:{lineno}: duplicate workflow_id {workflow_id!r}")
+                    for metric in SIZE_METRICS:
+                        sizes[metric][workflow_id] = float(record[metric])
+                    for feature, usage in record.get("features", {}).items():
+                        if feature not in presence:
+                            continue
+                        presence[feature][workflow_id] = bool(
+                            usage["present"] and not usage["structural_only"]
+                        )
+                        path_counts[feature][workflow_id] = int(usage["n_paths"])
+                except KeyError as exc:
+                    raise InputError(f"{path}:{lineno}: scan record lacks {exc}") from exc
+                except (TypeError, ValueError, AttributeError) as exc:
+                    raise InputError(f"{path}:{lineno}: bad scan record: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read sizes file {path}: {exc}") from exc
     if not sizes["n_paths"]:
         raise InputError(f"sizes file {path} holds no scan records with metrics")

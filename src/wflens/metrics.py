@@ -94,12 +94,6 @@ def workflow_metrics(bag: ConstructBag, catalog: Catalog) -> WorkflowMetrics:
     )
 
 
-def feature_usage(bag: ConstructBag, catalog: Catalog, feature: str) -> FeatureUsage:
-    if feature not in FEATURES:
-        raise KeyError(f"unknown feature {feature!r}")
-    return workflow_metrics(bag, catalog).per_feature[feature]
-
-
 def round4(value: Fraction | float | None) -> float | None:
     """Serialization rounding: four fractional digits."""
     if value is None:

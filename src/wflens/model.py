@@ -70,6 +70,12 @@ class WorkflowTree:
     root: Mapping
 
 
+MAX_DEPTH = 256
+"""Deepest collection nesting accepted, the root mapping being level 1."""
+
+MAX_PATHS = 200_000
+"""Most paths a document may hold once its aliases are expanded."""
+
 _BOOL_WORDS = yaml.constructor.SafeConstructor.bool_values
 _SCALAR_KINDS = {
     "tag:yaml.org,2002:str": "string",
@@ -79,17 +85,48 @@ _SCALAR_KINDS = {
     "tag:yaml.org,2002:null": "null",
 }
 
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# The composer recurses once per nesting level: libyaml's in C, where about
+# 100,000 levels crash the process, and the pure-Python one on the Python
+# stack.  Every collection start needs one of these characters, so their
+# count bounds the depth; only a text over the bound gets an event-level
+# depth check before it is composed.
+_NESTING_CHARS = "[{-?:"
+_UNCHECKED_NESTING = MAX_DEPTH if _LOADER is yaml.SafeLoader else 10_000
+
 
 def _mark_of(node: yaml.Node) -> tuple[int, int]:
     mark = node.start_mark
     return mark.line + 1, mark.column + 1
 
 
+def _error_at(node: yaml.Node, message: str) -> WorkflowParseError:
+    return WorkflowParseError(message, *_mark_of(node))
+
+
+def _too_deep(node: yaml.Node | yaml.Event) -> WorkflowParseError:
+    return _error_at(node, f"collections nested deeper than {MAX_DEPTH} levels")
+
+
+def _too_many_paths(node: yaml.Node) -> WorkflowParseError:
+    return _error_at(node, f"more than {MAX_PATHS} paths after alias expansion")
+
+
+def _cycle(node: yaml.Node) -> WorkflowParseError:
+    return _error_at(node, "recursive alias cycle")
+
+
+def _duplicate_key(node: yaml.Node, key: str) -> WorkflowParseError:
+    return _error_at(node, f"duplicate mapping key {key!r}")
+
+
 def _scalar_value(node: yaml.ScalarNode) -> Scalar:
     kind = _SCALAR_KINDS.get(node.tag, "string")
     text = node.value
     if kind == "bool":
-        return Scalar(_BOOL_WORDS[text.lower()], "bool")
+        # An explicit !!bool tag may sit on any text.
+        value = _BOOL_WORDS.get(text.lower())
+        return Scalar(text, "string") if value is None else Scalar(value, "bool")
     if kind == "null":
         return Scalar(None, "null")
     if kind == "int":
@@ -108,60 +145,50 @@ def _scalar_value(node: yaml.ScalarNode) -> Scalar:
 
 def _key_text(node: yaml.Node, top_level: bool) -> str:
     if not isinstance(node, yaml.ScalarNode):
-        line, col = _mark_of(node)
-        raise WorkflowParseError("mapping keys must be scalars", line, col)
+        raise _error_at(node, "mapping keys must be scalars")
     text = node.value
     # YAML 1.1 resolves bare on/yes/true (any case) to booleans.  The
     # platform reads such a top-level key as the trigger table, so it is
     # normalized to the literal key "on"; everywhere else the raw spelling
     # is kept, which also keeps off/no/false keys as strings.
-    if top_level and node.tag == "tag:yaml.org,2002:bool" and _BOOL_WORDS[text.lower()]:
+    if top_level and node.tag == "tag:yaml.org,2002:bool" and _BOOL_WORDS.get(text.lower()):
         return "on"
     return text
 
 
-def _convert(node: yaml.Node, top_level: bool, active: set[int]) -> Node:
-    if id(node) in active:
-        line, col = _mark_of(node)
-        raise WorkflowParseError("recursive alias cycle", line, col)
-    if isinstance(node, yaml.ScalarNode):
-        return _scalar_value(node)
-    active.add(id(node))
-    try:
-        if isinstance(node, yaml.SequenceNode):
-            return Sequence(tuple(_convert(item, False, active) for item in node.value))
-        assert isinstance(node, yaml.MappingNode)
-        entries: list[tuple[str, Node]] = []
-        seen: set[str] = set()
-        for key_node, value_node in node.value:
-            key = _key_text(key_node, top_level)
-            if key in seen:
-                line, col = _mark_of(key_node)
-                raise WorkflowParseError(f"duplicate mapping key {key!r}", line, col)
-            seen.add(key)
-            entries.append((key, _convert(value_node, False, active)))
-        return Mapping(tuple(entries))
-    finally:
-        active.discard(id(node))
+def _check_depth(text: str) -> None:
+    """Reject nesting past :data:`MAX_DEPTH` from parser events, which need no recursion."""
+    depth = 0
+    for event in yaml.parse(text, Loader=_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise _too_deep(event)
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
 
 
-def parse_workflow(text: str) -> WorkflowTree:
-    """Parse one YAML document into a :class:`WorkflowTree`.
+def compose_workflow(text: str) -> yaml.MappingNode:
+    """Compose one YAML document into its root node, with libyaml when available.
 
-    Anchors and aliases are expanded; duplicate mapping keys, multi-document
-    streams, and non-mapping roots are rejected.  A UTF-8 BOM is tolerated.
+    A UTF-8 BOM is tolerated.  Syntax errors, empty and multi-document
+    streams, and non-mapping roots raise :class:`WorkflowParseError`, as
+    does nesting past :data:`MAX_DEPTH` in a text large enough to reach
+    the composer's recursion limit.  Anchors are not expanded here.
     """
     if text.startswith("\ufeff"):
         text = text[1:]
     try:
-        documents = list(yaml.compose_all(text, Loader=yaml.SafeLoader))
+        if sum(map(text.count, _NESTING_CHARS)) > _UNCHECKED_NESTING:
+            _check_depth(text)
+        documents = list(yaml.compose_all(text, Loader=_LOADER))
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark or exc.context_mark
         problem = exc.problem or str(exc)
         if mark is not None:
             raise WorkflowParseError(problem, mark.line + 1, mark.column + 1) from exc
         raise WorkflowParseError(problem) from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml encodes: lone surrogates fail
         raise WorkflowParseError(str(exc)) from exc
     documents = [d for d in documents if d is not None]
     if not documents:
@@ -170,15 +197,75 @@ def parse_workflow(text: str) -> WorkflowTree:
         raise WorkflowParseError("multi-document streams are not supported")
     root = documents[0]
     if not isinstance(root, yaml.MappingNode):
-        line, col = _mark_of(root)
-        raise WorkflowParseError("workflow document must be a mapping", line, col)
-    converted = _convert(root, True, set())
+        raise _error_at(root, "workflow document must be a mapping")
+    return root
+
+
+def _convert(root: yaml.MappingNode) -> Mapping:
+    """Build the tree, expanding aliases, within the depth and path budgets."""
+    active: set[int] = set()
+    n_paths = 0
+
+    def convert(node: yaml.Node, top_level: bool, depth: int) -> Node:
+        nonlocal n_paths
+        if id(node) in active:
+            raise _cycle(node)
+        if isinstance(node, yaml.ScalarNode):
+            return _scalar_value(node)
+        if depth > MAX_DEPTH:
+            raise _too_deep(node)
+        active.add(id(node))
+        try:
+            if isinstance(node, yaml.SequenceNode):
+                items: list[Node] = []
+                for item in node.value:
+                    n_paths += 1
+                    if n_paths > MAX_PATHS:
+                        raise _too_many_paths(item)
+                    items.append(convert(item, False, depth + 1))
+                return Sequence(tuple(items))
+            assert isinstance(node, yaml.MappingNode)
+            entries: list[tuple[str, Node]] = []
+            seen: set[str] = set()
+            for key_node, value_node in node.value:
+                key = _key_text(key_node, top_level)
+                if key in seen:
+                    raise _duplicate_key(key_node, key)
+                seen.add(key)
+                n_paths += 1
+                if n_paths > MAX_PATHS:
+                    raise _too_many_paths(key_node)
+                entries.append((key, convert(value_node, False, depth + 1)))
+            return Mapping(tuple(entries))
+        finally:
+            active.discard(id(node))
+
+    converted = convert(root, True, 1)
     assert isinstance(converted, Mapping)
-    return WorkflowTree(converted)
+    return converted
+
+
+def parse_workflow(text: str) -> WorkflowTree:
+    """Parse one YAML document into a :class:`WorkflowTree`.
+
+    Anchors and aliases are expanded; duplicate mapping keys, multi-document
+    streams, and non-mapping roots are rejected.  A UTF-8 BOM is tolerated.
+    Nesting past :data:`MAX_DEPTH` and more than :data:`MAX_PATHS` paths
+    are rejected at the node where the budget runs out.
+    """
+    return WorkflowTree(_convert(compose_workflow(text)))
+
+
+def read_workflow_text(path: str | Path) -> str:
+    """The text of a workflow file; undecodable bytes raise :class:`WorkflowParseError`."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise WorkflowParseError(f"cannot decode file as UTF-8: {exc}") from exc
 
 
 def parse_workflow_file(path: str | Path) -> WorkflowTree:
-    return parse_workflow(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_workflow(read_workflow_text(path))
 
 
 def enumerate_paths(tree: WorkflowTree) -> list[ConcretePath]:

@@ -1,10 +1,12 @@
 """End-to-end CLI behaviour: outputs, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
 
+import wflens
 from wflens.cli import cli, main
 
 from conftest import FIXTURES, build_reliability_files
@@ -387,6 +389,98 @@ def test_bad_sizes_json_exits_2(tmp_path, clienv):
         ]
     )
     assert result.exit_code == 2
+
+
+def test_undecodable_sizes_file_exits_2(tmp_path, clienv):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\xff\xfe\n")
+    result = invoke(
+        [
+            "reliability", "compare",
+            "--runs", clienv["runs"], "--sizes", str(bad),
+            "--window", "2023-01-01..2023-12-31",
+        ]
+    )
+    assert result.exit_code == 2
+    assert "cannot read sizes file" in result.output
+
+
+def _sizes_record(workflow_id, **overrides):
+    record = {
+        "file": workflow_id, "valid": True, "n_paths": 10, "n_constructs": 5,
+        "n_features": 2, "path_construct_ratio": 2.0, "features": {},
+    }
+    record.update(overrides)
+    return {k: v for k, v in record.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "bad_record, reason",
+    [
+        (_sizes_record("repo/b.yml", n_constructs=None), "lacks 'n_constructs'"),
+        (_sizes_record("repo/b.yml", n_paths="many"), "bad scan record"),
+        (_sizes_record("repo/a.yml"), "duplicate workflow_id 'repo/a.yml'"),
+    ],
+    ids=["missing-size", "non-numeric-size", "duplicate-id"],
+)
+def test_malformed_sizes_record_exits_2_with_line(tmp_path, clienv, bad_record, reason):
+    sizes = tmp_path / "sizes.jsonl"
+    lines = [_sizes_record("repo/a.yml"), {"file": "repo/x.yml", "error": {}}, bad_record]
+    sizes.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+    for command in (["compare"], ["regress"], ["regress", "--analysis", "features"]):
+        result = invoke(
+            [
+                "reliability", *command,
+                "--runs", clienv["runs"], "--sizes", str(sizes),
+                "--window", "2023-01-01..2023-12-31",
+            ]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"{sizes}:3: " in result.output
+        assert reason in result.output
+        assert "Traceback" not in result.output
+
+
+def test_undecodable_workflow_exits_2(tmp_path):
+    bad = tmp_path / "bad.yml"
+    bad.write_bytes(b"name: \xff\xfe\n")
+    good = tmp_path / "good.yml"
+    good.write_text("on: push\n", encoding="utf-8")
+    result = invoke(["scan", "--format", "jsonl", str(bad), str(good)])
+    assert result.exit_code == 2
+    records = [json.loads(line) for line in result.output.splitlines()]
+    assert records[0]["error"]["message"].startswith("cannot decode file as UTF-8: ")
+    assert records[0]["error"]["line"] is None
+    assert records[1]["n_paths"] == 1
+    assert invoke(["lint", str(bad)]).exit_code == 2
+    with pytest.raises(wflens.WorkflowParseError, match="cannot decode"):
+        wflens.parse_workflow_file(bad)
+
+
+def doubling_anchors(lines):
+    """Each line is a two-item list of aliases to the line before: paths double per line."""
+    out = ["a0: &a0 [x, x]"]
+    out += [f"a{i}: &a{i} [*a{i - 1}, *a{i - 1}]" for i in range(1, lines)]
+    return "\n".join(out) + "\n"
+
+
+def test_alias_bomb_hits_path_budget_quickly(tmp_path):
+    small = tmp_path / "small.yml"
+    small.write_text(doubling_anchors(14), encoding="utf-8")
+    result = invoke(["scan", "--format", "jsonl", str(small)])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["n_paths"] == 65518
+
+    bomb = tmp_path / "bomb.yml"
+    bomb.write_text(doubling_anchors(25), encoding="utf-8")
+    start = time.perf_counter()
+    result = invoke(["scan", "--format", "jsonl", str(bomb)])
+    elapsed = time.perf_counter() - start
+    assert result.exit_code == 2
+    error = json.loads(result.output)["error"]
+    assert error["message"] == f"more than {wflens.model.MAX_PATHS} paths after alias expansion"
+    assert error["line"] is not None
+    assert elapsed < 1.0
 
 
 # ----------------------------------------------------------- determinism
