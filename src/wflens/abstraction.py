@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Union
 
 from .model import ConcretePath, Index, Key
@@ -125,6 +126,32 @@ def render_construct(construct: Construct) -> str:
 
 def parse_construct(text: str) -> Construct:
     """Parse a rendered construct such as ``jobs.<id>.steps[*].uses``."""
+    out: list[AbstractSegment] = []
+    for part in text.split("."):
+        wildcards = 0
+        while part.endswith("[*]"):
+            part = part[:-3]
+            wildcards += 1
+        if not part or "[" in part or "]" in part:
+            return _parse_construct_checked(text)
+        out.append(_segment(part))
+        out.extend([_WILDCARD] * wildcards)
+    return tuple(out)
+
+
+_WILDCARD = Wildcard()
+
+
+@lru_cache(maxsize=4096)
+def _segment(token: str) -> Key | Placeholder:
+    """The shared segment for a rendered key or placeholder."""
+    if token.startswith("<") and token.endswith(">") and token[1:-1] in PLACEHOLDER_KINDS:
+        return Placeholder(token[1:-1])
+    return Key(token)
+
+
+def _parse_construct_checked(text: str) -> Construct:
+    """:func:`parse_construct` for any text, with the grammar's checks and errors."""
     from .model import _parse_segments  # shared rendered-path grammar
 
     out: list[AbstractSegment] = []

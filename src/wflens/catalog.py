@@ -10,13 +10,17 @@ the path grammar alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections.abc import Iterable
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 
 from .abstraction import (
+    AbstractionRule,
     AbstractionRuleSet,
+    AbstractSegment,
     Construct,
     ConstructBag,
     Placeholder,
@@ -80,11 +84,96 @@ class CatalogEntry:
     structural: bool = False
 
 
+ANY_KEY = object()
+"""Scan-index token of a key that the abstraction turns into a placeholder."""
+ANY_INDEX = object()
+"""Scan-index token of a sequence item."""
+
+
+class ConstructNode:
+    """One construct in a scan index: its rule, rendered text and catalog entry.
+
+    ``children`` maps the token of the next path segment (the key text,
+    :data:`ANY_KEY` or :data:`ANY_INDEX`) to the node of the longer construct.
+    """
+
+    __slots__ = ("construct", "rule", "text", "entry", "children")
+
+    def __init__(self, construct: Construct, rule: AbstractionRule | None, text: str):
+        self.construct = construct
+        self.rule = rule
+        self.text = text
+        self.entry: CatalogEntry | None = None
+        self.children: dict[object, ConstructNode] = {}
+
+
+class ScanIndex:
+    """A catalog's constructs and all their prefixes, as a trie of :class:`ConstructNode`.
+
+    Built once per catalog and read-only after that: the scan walk keeps
+    the nodes of constructs outside the index to itself, so the index never
+    grows with its input.  A catalog construct that no abstraction can
+    produce (a placeholder where no rule applies, say) is left out.
+    """
+
+    def __init__(self, catalog: Catalog):
+        self.rules = catalog.rules
+        self.root = ConstructNode((), self.rules.rule_for(()), "")
+        self.feature_sizes = catalog.feature_sizes()
+        self.size = 1
+        for construct, entry in catalog.entries.items():
+            node = self.root
+            for segment in construct:
+                token = _token(node.rule, segment)
+                if token is None:
+                    break
+                child = node.children.get(token)
+                if child is None:
+                    child = node.children[token] = self.extend(node, token)
+                    self.size += 1
+                node = child
+            else:
+                node.entry = entry
+
+    def extend(self, parent: ConstructNode, token: object) -> ConstructNode:
+        """A new node for ``parent``'s construct followed by the segment ``token`` stands for."""
+        text = parent.text
+        if token is ANY_INDEX:
+            segment: AbstractSegment = Wildcard()
+            text += "[*]"
+        else:
+            if token is ANY_KEY:
+                segment = Placeholder(parent.rule.kind)
+                name = f"<{segment.kind}>"
+            else:
+                segment = Key(token)
+                name = token
+            text = f"{text}.{name}" if text else name
+        construct = parent.construct + (segment,)
+        return ConstructNode(construct, self.rules.rule_for(construct), text)
+
+
+def _token(rule: AbstractionRule | None, segment: AbstractSegment) -> object | None:
+    """The walk's token for an abstract segment below ``rule``, or None if none gives it."""
+    if isinstance(segment, Wildcard):
+        return ANY_INDEX
+    if isinstance(segment, Placeholder):
+        return ANY_KEY if rule is not None and rule.kind == segment.kind else None
+    if rule is None or segment.name in rule.except_keys:
+        return segment.name
+    return None
+
+
 @dataclass(frozen=True)
 class Catalog:
     version: str
     entries: dict[Construct, CatalogEntry]
     rules: AbstractionRuleSet
+
+    @cached_property
+    def index(self) -> ScanIndex:
+        """The scan index, compiled on first use; ``entries`` must not change after it."""
+        return ScanIndex(self)
 
     def feature_sizes(self) -> dict[str, int]:
         sizes: dict[str, int] = {}
@@ -277,14 +366,55 @@ def validation_report(
     bag: ConstructBag, catalog: Catalog, examples: dict[Construct, ConcretePath]
 ) -> ValidationReport:
     """:func:`validate_workflow` given each construct's first concrete path."""
+    return tally_constructs(bag_rows(bag, catalog)).report(examples)
+
+
+Row = tuple[str, Construct, int, "CatalogEntry | None"]
+"""A construct of one workflow: rendered text, construct, path count, catalog entry."""
+
+
+def bag_rows(bag: ConstructBag, catalog: Catalog) -> list[Row]:
+    entries = catalog.entries
+    return [(render_construct(c), c, n, entries.get(c)) for c, n in bag.counts.items()]
+
+
+@dataclass(frozen=True)
+class ConstructTally:
+    """One workflow's constructs split by catalog membership, with per-feature sums.
+
+    ``known`` and ``unknown`` are in rendered order.  ``features`` maps each
+    feature met to [paths, constructs used, constructs not structural].
+    """
+
+    known: tuple[Construct, ...]
+    unknown: tuple[Construct, ...]
+    features: dict[str, list[int]]
+
+    def report(self, examples: dict[Construct, ConcretePath]) -> ValidationReport:
+        return ValidationReport(self.known, tuple((c, examples.get(c)) for c in self.unknown))
+
+
+def tally_constructs(rows: Iterable[Row]) -> ConstructTally:
+    """The one aggregation behind the validation report and the workflow metrics.
+
+    Rows with the same rendered text keep their order.
+    """
     known = []
     unknown = []
-    for construct in sorted(bag.counts, key=render_construct):
-        if construct in catalog.entries:
-            known.append(construct)
-        else:
-            unknown.append((construct, examples.get(construct)))
-    return ValidationReport(tuple(known), tuple(unknown))
+    features: dict[str, list[int]] = {}
+    for _, construct, count, entry in sorted(rows, key=itemgetter(0)):
+        if entry is None:
+            unknown.append(construct)
+            continue
+        known.append(construct)
+        sums = features.get(entry.feature)
+        if sums is None:
+            sums = features[entry.feature] = [0, 0, 0]
+        sums[0] += count
+        sums[1] += 1
+        if not entry.structural:
+            sums[2] += 1
+    return ConstructTally(tuple(known), tuple(unknown), features)
 
 
 def extract_catalog(bags: list[ConstructBag], rules: AbstractionRuleSet | None = None) -> Catalog:

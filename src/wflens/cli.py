@@ -10,7 +10,7 @@ import csv
 import io
 import json
 import sys
-from datetime import datetime, timezone
+from datetime import datetime
 from pathlib import Path
 
 import click
@@ -36,11 +36,11 @@ from .corpus import (
     materialize_snapshots,
     month_range,
 )
+from .instants import parse_instant
 from .lint import RiskModel, default_risk_model, diagnostic_to_dict, evaluate, load_risk_model
-from .metrics import WorkflowMetrics
+from .metrics import SIZE_METRICS, WorkflowMetrics
 from .model import discover_workflow_files
 from .reliability import (
-    SIZE_METRICS,
     ReliabilityMetrics,
     compare_groups,
     group_records,
@@ -96,19 +96,12 @@ def _expand_paths(paths: tuple[str, ...]) -> list[str]:
     return out
 
 
-def _parse_instant_arg(text: str) -> datetime:
-    value = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    if value.tzinfo is None:
-        value = value.replace(tzinfo=timezone.utc)
-    return value.astimezone(timezone.utc)
-
-
 def _parse_window(text: str) -> tuple[datetime, datetime]:
     parts = text.split("..")
     if len(parts) != 2:
         raise click.UsageError('window must look like "2023-01-01..2023-12-31"')
     try:
-        start, end = (_parse_instant_arg(p) for p in parts)
+        start, end = (parse_instant(p) for p in parts)
     except ValueError as exc:
         raise click.UsageError(f"bad window instant: {exc}") from exc
     if end <= start:

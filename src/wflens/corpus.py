@@ -18,6 +18,7 @@ import numpy as np
 
 from .abstraction import Construct, ConstructBag, Placeholder, Wildcard, render_construct
 from .catalog import FEATURES, Catalog
+from .instants import parse_instant
 from .metrics import WorkflowMetrics
 from .stats import FiveNumber, five_number, gini, spearman
 
@@ -136,13 +137,6 @@ class HistoryInterval:
     file: str
 
 
-def _parse_instant(text: str) -> datetime:
-    value = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    if value.tzinfo is None:
-        value = value.replace(tzinfo=timezone.utc)
-    return value.astimezone(timezone.utc)
-
-
 def load_history_manifest(path: str | Path) -> list[HistoryInterval]:
     """Read a JSONL history manifest; file references stay relative to it."""
     intervals: list[HistoryInterval] = []
@@ -158,8 +152,8 @@ def load_history_manifest(path: str | Path) -> list[HistoryInterval]:
                     HistoryInterval(
                         workflow_id=row["workflow_id"],
                         repo=row.get("repo", ""),
-                        valid_from=_parse_instant(row["valid_from"]),
-                        valid_to=_parse_instant(row["valid_to"]) if row.get("valid_to") else None,
+                        valid_from=parse_instant(row["valid_from"]),
+                        valid_to=parse_instant(row["valid_to"]) if row.get("valid_to") else None,
                         file=str(base / row["file"]),
                     )
                 )

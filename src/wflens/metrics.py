@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abstraction import Construct, ConstructBag, render_construct
-from .catalog import FEATURES, Catalog
+from .catalog import FEATURES, Catalog, ConstructTally, ScanIndex, bag_rows, tally_constructs
 
 RATIO_CAP = Fraction(10)
 SIZE_METRICS: tuple[str, ...] = ("n_paths", "n_constructs", "n_features", "path_construct_ratio")
@@ -42,6 +42,17 @@ class WorkflowMetrics:
         return float(getattr(self, name))
 
 
+_ABSENT = FeatureUsage(
+    present=False,
+    n_paths=0,
+    n_constructs_used=0,
+    construct_coverage=Fraction(0),
+    path_to_construct_ratio=None,
+    capped_ratio=None,
+    structural_only=False,
+)
+
+
 def workflow_metrics(bag: ConstructBag, catalog: Catalog) -> WorkflowMetrics:
     """Size metrics and per-feature usage for one workflow.
 
@@ -50,47 +61,39 @@ def workflow_metrics(bag: ConstructBag, catalog: Catalog) -> WorkflowMetrics:
     """
     if not bag.counts or bag.total_paths <= 0:
         raise ValueError("empty workflow: no paths to measure")
+    return metrics_from_tally(tally_constructs(bag_rows(bag, catalog)), bag, catalog.index)
 
-    feature_sizes = catalog.feature_sizes()
-    paths_by_feature: dict[str, int] = {f: 0 for f in FEATURES}
-    used_by_feature: dict[str, int] = {f: 0 for f in FEATURES}
-    informative_by_feature: dict[str, int] = {f: 0 for f in FEATURES}
-    unknown: list[Construct] = []
 
-    for construct, count in bag.counts.items():
-        entry = catalog.entries.get(construct)
-        if entry is None:
-            unknown.append(construct)
-            continue
-        if entry.feature not in paths_by_feature:
-            continue  # unclassified entries (extracted catalogs) have no feature
-        paths_by_feature[entry.feature] += count
-        used_by_feature[entry.feature] += 1
-        if not entry.structural:
-            informative_by_feature[entry.feature] += 1
-
+def metrics_from_tally(tally: ConstructTally, bag: ConstructBag, index: ScanIndex) -> WorkflowMetrics:
+    """:func:`workflow_metrics` given the bag's tally against the catalog of ``index``."""
     per_feature: dict[str, FeatureUsage] = {}
+    n_features = 0
     for feature in FEATURES:
-        n_paths = paths_by_feature[feature]
-        used = used_by_feature[feature]
-        ratio = Fraction(n_paths, used) if used else None
+        sums = tally.features.get(feature)
+        if sums is None:
+            per_feature[feature] = _ABSENT
+            continue
+        n_paths, used, informative = sums
+        ratio = Fraction(n_paths, used)
+        present = n_paths > 0
         per_feature[feature] = FeatureUsage(
-            present=n_paths > 0,
+            present=present,
             n_paths=n_paths,
             n_constructs_used=used,
-            construct_coverage=Fraction(used, feature_sizes.get(feature, 0)) if used else Fraction(0),
+            construct_coverage=Fraction(used, index.feature_sizes[feature]),
             path_to_construct_ratio=ratio,
-            capped_ratio=min(ratio, RATIO_CAP) if ratio is not None else None,
-            structural_only=n_paths > 0 and informative_by_feature[feature] == 0,
+            capped_ratio=min(ratio, RATIO_CAP),
+            structural_only=present and informative == 0,
         )
+        n_features += present
 
     return WorkflowMetrics(
         n_paths=bag.total_paths,
         n_constructs=bag.distinct(),
-        n_features=sum(1 for usage in per_feature.values() if usage.present),
+        n_features=n_features,
         path_construct_ratio=Fraction(bag.total_paths, bag.distinct()),
         per_feature=per_feature,
-        unknown_constructs=tuple(sorted(unknown, key=render_construct)),
+        unknown_constructs=tally.unknown,
     )
 
 
@@ -101,20 +104,27 @@ def round4(value: Fraction | float | None) -> float | None:
     return round(float(value), 4)
 
 
+def _usage_to_dict(usage: FeatureUsage) -> dict:
+    return {
+        "present": usage.present,
+        "n_paths": usage.n_paths,
+        "n_constructs_used": usage.n_constructs_used,
+        "construct_coverage": round4(usage.construct_coverage),
+        "path_to_construct_ratio": round4(usage.path_to_construct_ratio),
+        "capped_ratio": round4(usage.capped_ratio),
+        "structural_only": usage.structural_only,
+    }
+
+
+_ABSENT_DICT = _usage_to_dict(_ABSENT)
+
+
 def metrics_to_dict(metrics: WorkflowMetrics) -> dict:
     """JSON-ready dict with deterministic content."""
     features = {}
     for feature in FEATURES:
         usage = metrics.per_feature[feature]
-        features[feature] = {
-            "present": usage.present,
-            "n_paths": usage.n_paths,
-            "n_constructs_used": usage.n_constructs_used,
-            "construct_coverage": round4(usage.construct_coverage),
-            "path_to_construct_ratio": round4(usage.path_to_construct_ratio),
-            "capped_ratio": round4(usage.capped_ratio),
-            "structural_only": usage.structural_only,
-        }
+        features[feature] = dict(_ABSENT_DICT) if usage is _ABSENT else _usage_to_dict(usage)
     return {
         "n_paths": metrics.n_paths,
         "n_constructs": metrics.n_constructs,

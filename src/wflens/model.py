@@ -8,7 +8,9 @@ not paths of their own.  The document root is not a path.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Union
 
@@ -94,6 +96,38 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _NESTING_CHARS = "[{-?:"
 _UNCHECKED_NESTING = MAX_DEPTH if _LOADER is yaml.SafeLoader else 10_000
 
+_PLAIN = object()
+"""The tag a kernel loader gives a plain scalar, whose resolution it skips."""
+_RESOLVER = yaml.resolver.Resolver()
+_BOOL_TAG = "tag:yaml.org,2002:bool"
+
+
+@lru_cache(maxsize=None)
+def _kernel_loader(base: type) -> type:
+    """``base`` without implicit tag resolution, for the scan kernel.
+
+    A plain scalar is tagged :data:`_PLAIN` and any other node gets the tag
+    the full resolver gives it without reading its text.  The kernel reads
+    a tag only on a top-level key (:func:`_key_text`), and no path
+    resolvers are registered, so descending and ascending do nothing.
+    """
+
+    class KernelLoader(base):
+        def resolve(self, kind, value, implicit):
+            if kind is yaml.ScalarNode:
+                return _PLAIN if implicit[0] else self.DEFAULT_SCALAR_TAG
+            if kind is yaml.SequenceNode:
+                return self.DEFAULT_SEQUENCE_TAG
+            return self.DEFAULT_MAPPING_TAG
+
+        def descend_resolver(self, current_node, current_index):
+            pass
+
+        def ascend_resolver(self):
+            pass
+
+    return KernelLoader
+
 
 def _mark_of(node: yaml.Node) -> tuple[int, int]:
     mark = node.start_mark
@@ -151,8 +185,12 @@ def _key_text(node: yaml.Node, top_level: bool) -> str:
     # platform reads such a top-level key as the trigger table, so it is
     # normalized to the literal key "on"; everywhere else the raw spelling
     # is kept, which also keeps off/no/false keys as strings.
-    if top_level and node.tag == "tag:yaml.org,2002:bool" and _BOOL_WORDS.get(text.lower()):
-        return "on"
+    if top_level:
+        tag = node.tag
+        if tag is _PLAIN:
+            tag = _RESOLVER.resolve(yaml.ScalarNode, text, (True, False))
+        if tag == _BOOL_TAG and _BOOL_WORDS.get(text.lower()):
+            return "on"
     return text
 
 
@@ -168,20 +206,23 @@ def _check_depth(text: str) -> None:
             depth -= 1
 
 
-def compose_workflow(text: str) -> yaml.MappingNode:
+def compose_workflow(text: str, *, resolve_tags: bool = True) -> yaml.MappingNode:
     """Compose one YAML document into its root node, with libyaml when available.
 
     A UTF-8 BOM is tolerated.  Syntax errors, empty and multi-document
     streams, and non-mapping roots raise :class:`WorkflowParseError`, as
     does nesting past :data:`MAX_DEPTH` in a text large enough to reach
     the composer's recursion limit.  Anchors are not expanded here.
+    Without ``resolve_tags`` plain scalars keep an unresolved tag, which
+    only :func:`_key_text` may read.
     """
     if text.startswith("\ufeff"):
         text = text[1:]
     try:
         if sum(map(text.count, _NESTING_CHARS)) > _UNCHECKED_NESTING:
             _check_depth(text)
-        documents = list(yaml.compose_all(text, Loader=_LOADER))
+        loader = _LOADER if resolve_tags else _kernel_loader(_LOADER)
+        documents = list(yaml.compose_all(text, Loader=loader))
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark or exc.context_mark
         problem = exc.problem or str(exc)
@@ -259,7 +300,8 @@ def parse_workflow(text: str) -> WorkflowTree:
 def read_workflow_text(path: str | Path) -> str:
     """The text of a workflow file; undecodable bytes raise :class:`WorkflowParseError`."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise WorkflowParseError(f"cannot decode file as UTF-8: {exc}") from exc
 
@@ -360,23 +402,35 @@ def _parse_segments(text: str) -> list[tuple[str, str]]:
     return out
 
 
+_SUFFIXES = (".yml", ".yaml")
+
+
 def discover_workflow_files(root: str | Path) -> list[Path]:
     """Workflow files under ``root``, sorted for deterministic processing.
 
     A repository checkout contributes ``.github/workflows/*.yml`` and
     ``*.yaml`` (case-sensitive extensions).  A directory without any
     ``.github/workflows`` folder is treated as a flat collection and yields
-    every ``*.yml``/``*.yaml`` beneath it.
+    every ``*.yml``/``*.yaml`` beneath it.  Symlinked directories are not
+    descended into, but a symlinked ``.github`` or ``workflows`` is read.
     """
     base = Path(root)
     if base.is_file():
         return [base]
-    canonical = sorted(
-        p
-        for pattern in ("**/.github/workflows/*.yml", "**/.github/workflows/*.yaml")
-        for p in base.glob(pattern)
-        if p.is_file()
-    )
+    canonical: list[Path] = []
+    flat: list[str] = []
+    for dirpath, dirnames, filenames in os.walk(base):
+        flat.extend(os.path.join(dirpath, name) for name in filenames if name.endswith(_SUFFIXES))
+        if ".github" in dirnames:
+            canonical.extend(_workflow_files(os.path.join(dirpath, ".github", "workflows")))
     if canonical:
-        return canonical
-    return sorted(p for ext in ("yml", "yaml") for p in base.glob(f"**/*.{ext}") if p.is_file())
+        return sorted(canonical)
+    return sorted(Path(p) for p in flat if os.path.isfile(p))
+
+
+def _workflow_files(directory: str) -> list[Path]:
+    try:
+        with os.scandir(directory) as entries:
+            return [Path(e.path) for e in entries if e.name.endswith(_SUFFIXES) and e.is_file()]
+    except OSError:
+        return []

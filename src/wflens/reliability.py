@@ -11,11 +11,13 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
+from .instants import parse_instant
+from .metrics import SIZE_METRICS
 from .stats import (
     EffectSize,
     bh_adjust,
@@ -30,7 +32,6 @@ log = logging.getLogger(__name__)
 
 CONCLUSIONS = ("success", "failure", "cancelled", "skipped", "other")
 OUTCOME_METRICS = ("failure_rate", "n_commits", "ttr", "availability")
-SIZE_METRICS = ("n_paths", "n_constructs", "n_features", "path_construct_ratio")
 ALPHA = 0.01
 MIN_RUNS = 3
 USAGE_BAND = (0.05, 0.95)
@@ -42,13 +43,6 @@ class RunRecord:
     commit_sha: str
     committed_at: datetime
     conclusion: str
-
-
-def _parse_instant(text: str) -> datetime:
-    value = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    if value.tzinfo is None:
-        value = value.replace(tzinfo=timezone.utc)
-    return value.astimezone(timezone.utc)
 
 
 def load_run_records(path: str | Path) -> list[RunRecord]:
@@ -75,7 +69,7 @@ def load_run_records(path: str | Path) -> list[RunRecord]:
                     RunRecord(
                         workflow_id=str(row["workflow_id"]),
                         commit_sha=str(row["commit_sha"]),
-                        committed_at=_parse_instant(row["committed_at"]),
+                        committed_at=parse_instant(row["committed_at"]),
                         conclusion=conclusion,
                     )
                 )
@@ -102,7 +96,7 @@ def runs_from_api_dump(dump: dict) -> list[RunRecord]:
             RunRecord(
                 workflow_id=workflow_id,
                 commit_sha=str(run.get("head_sha", "")),
-                committed_at=_parse_instant(run.get("run_started_at") or run["created_at"]),
+                committed_at=parse_instant(run.get("run_started_at") or run["created_at"]),
                 conclusion=conclusion,
             )
         )

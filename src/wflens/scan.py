@@ -7,9 +7,18 @@ from pathlib import Path
 
 import yaml
 
-from .abstraction import AbstractionRuleSet, Construct, ConstructBag, Placeholder, Wildcard
-from .catalog import Catalog, ValidationReport, default_catalog, validation_report
-from .metrics import WorkflowMetrics, metrics_to_dict, workflow_metrics
+from .abstraction import Construct, ConstructBag
+from .catalog import (
+    ANY_INDEX,
+    ANY_KEY,
+    Catalog,
+    ConstructNode,
+    ScanIndex,
+    ValidationReport,
+    default_catalog,
+    tally_constructs,
+)
+from .metrics import WorkflowMetrics, metrics_from_tally, metrics_to_dict
 from .model import (
     MAX_DEPTH,
     MAX_PATHS,
@@ -45,57 +54,33 @@ class ScanResult:
         return self.parsed and self.validation is not None and self.validation.is_language_valid
 
 
-class _Seen:
-    """One construct met in a walk: its count, first concrete path and abstracted children.
-
-    Children are keyed by the key text, or by a token for the segment that
-    stands for any key (a placeholder) or any index (the wildcard).
-    """
-
-    __slots__ = ("construct", "rule", "children", "count", "example")
-
-    def __init__(self, construct: Construct, example: ConcretePath, rules: AbstractionRuleSet):
-        self.construct = construct
-        self.rule = rules.rule_for(construct)
-        self.children: dict[object, _Seen] = {}
-        self.count = 0
-        self.example = example
-
-
-_ANY_KEY = object()
-_ANY_INDEX = object()
-
-
-def _child(parent: _Seen, token: object, example: ConcretePath, rules: AbstractionRuleSet,
-           order: list[_Seen]) -> _Seen:
-    if token is _ANY_INDEX:
-        segment = Wildcard()
-    elif token is _ANY_KEY:
-        segment = Placeholder(parent.rule.kind)
-    else:
-        segment = example[-1]  # a literal key abstracts to itself
-    child = _Seen(parent.construct + (segment,), example, rules)
-    parent.children[token] = child
-    order.append(child)
-    return child
-
-
 def _walk(
-    root: yaml.MappingNode, rules: AbstractionRuleSet
-) -> tuple[ConstructBag, dict[Construct, ConcretePath]]:
-    """Construct counts, path total and first example paths in one pre-order walk.
+    root: yaml.MappingNode, index: ScanIndex
+) -> tuple[dict[ConstructNode, int], dict[Construct, ConcretePath], int]:
+    """Construct counts, first example paths of unknown constructs and path total.
 
-    Gives what ``enumerate_paths`` → ``abstract_workflow`` → ``validate_workflow``
-    give for ``parse_workflow``'s tree, and raises the same first error, but
-    builds no tree and no path list.  A frame is ``[node, next index,
-    concrete prefix, construct of the prefix, keys seen]``; sequences have
-    no keys seen.  Nodes on the stack are the alias-cycle check's path.
+    One pre-order walk gives what ``enumerate_paths`` → ``abstract_workflow``
+    → ``validate_workflow`` give for ``parse_workflow``'s tree, and raises
+    the same first error, but builds no tree and no path list.  Counts are
+    keyed by index node in the order the constructs are first met; a
+    construct outside the index gets a node of this walk's own.  A frame is
+    ``[node, next index, concrete prefix, index node of the prefix, keys
+    seen]``; sequences have no keys seen.  Nodes on the stack are the
+    alias-cycle check's path.
     """
-    top = _Seen((), (), rules)
-    order: list[_Seen] = []
+    counts: dict[ConstructNode, int] = {}
+    examples: dict[Construct, ConcretePath] = {}
+    own: dict[tuple[ConstructNode, object], ConstructNode] = {}
+
+    def off_index(parent: ConstructNode, token: object) -> ConstructNode:
+        child = own.get((parent, token))
+        if child is None:
+            child = own[parent, token] = index.extend(parent, token)
+        return child
+
     n_paths = 0
     active = {id(root)}
-    stack: list[list] = [[root, 0, (), top, set()]]
+    stack: list[list] = [[root, 0, (), index.root, set()]]
     while stack:
         frame = stack[-1]
         node, start, prefix, seen_at, keys = frame
@@ -103,15 +88,19 @@ def _walk(
         children = seen_at.children
         descend = None
         if keys is None:
-            child = children.get(_ANY_INDEX)
+            child = children.get(ANY_INDEX) or off_index(seen_at, ANY_INDEX)
             for i in range(start, len(items)):
                 item = items[i]
                 n_paths += 1
                 if n_paths > MAX_PATHS:
                     raise _too_many_paths(item)
-                if child is None:
-                    child = _child(seen_at, _ANY_INDEX, prefix + (Index(i),), rules, order)
-                child.count += 1
+                n = counts.get(child)
+                if n is None:
+                    counts[child] = 1
+                    if child.entry is None:
+                        examples[child.construct] = prefix + (Index(i),)
+                else:
+                    counts[child] = n + 1
                 if not isinstance(item, yaml.ScalarNode):
                     frame[1] = i + 1
                     descend = item, prefix + (Index(i),), child
@@ -121,18 +110,25 @@ def _walk(
             top_level = len(stack) == 1
             for i in range(start, len(items)):
                 key_node, value = items[i]
-                key = _key_text(key_node, top_level)
+                if top_level or not isinstance(key_node, yaml.ScalarNode):
+                    key = _key_text(key_node, top_level)
+                else:
+                    key = key_node.value
                 if key in keys:
                     raise _duplicate_key(key_node, key)
                 keys.add(key)
                 n_paths += 1
                 if n_paths > MAX_PATHS:
                     raise _too_many_paths(key_node)
-                token = _ANY_KEY if rule is not None and key not in rule.except_keys else key
-                child = children.get(token)
-                if child is None:
-                    child = _child(seen_at, token, prefix + (Key(key),), rules, order)
-                child.count += 1
+                token = ANY_KEY if rule is not None and key not in rule.except_keys else key
+                child = children.get(token) or off_index(seen_at, token)
+                n = counts.get(child)
+                if n is None:
+                    counts[child] = 1
+                    if child.entry is None:
+                        examples[child.construct] = prefix + (Key(key),)
+                else:
+                    counts[child] = n + 1
                 if not isinstance(value, yaml.ScalarNode):
                     frame[1] = i + 1
                     descend = value, prefix + (Key(key),), child
@@ -151,23 +147,25 @@ def _walk(
         stack.append([value, 0, path, child, keys])
     if not n_paths:
         raise WorkflowParseError("workflow mapping is empty")
-    bag = ConstructBag({s.construct: s.count for s in order}, n_paths)
-    return bag, {s.construct: s.example for s in order}
+    return counts, examples, n_paths
 
 
 def scan_text(text: str, file: str, catalog: Catalog | None = None) -> ScanResult:
     if catalog is None:
         catalog = default_catalog()
+    index = catalog.index
     try:
-        bag, examples = _walk(compose_workflow(text), catalog.rules)
+        counts, examples, n_paths = _walk(compose_workflow(text, resolve_tags=False), index)
     except WorkflowParseError as exc:
         return ScanResult(file=file, error=exc, bag=None, metrics=None, validation=None)
+    bag = ConstructBag({node.construct: n for node, n in counts.items()}, n_paths)
+    tally = tally_constructs([(node.text, node.construct, n, node.entry) for node, n in counts.items()])
     return ScanResult(
         file=file,
         error=None,
         bag=bag,
-        metrics=workflow_metrics(bag, catalog),
-        validation=validation_report(bag, catalog, examples),
+        metrics=metrics_from_tally(tally, bag, index),
+        validation=tally.report(examples),
     )
 
 

@@ -457,6 +457,34 @@ def test_undecodable_workflow_exits_2(tmp_path):
         wflens.parse_workflow_file(bad)
 
 
+def test_numeric_commit_instant_exits_2_with_line(tmp_path):
+    run = {"workflow_id": "a", "commit_sha": "x", "committed_at": "2023-01-02T00:00:00Z",
+           "conclusion": "success"}
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text(json.dumps(run) + "\n" + json.dumps(dict(run, committed_at=5)) + "\n",
+                    encoding="utf-8")
+    result = invoke(["reliability", "metrics", "--runs", str(runs), "--window", WINDOW])
+    assert result.exit_code == 2, result.output
+    assert f"{runs}:2: malformed run record: " in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("field", ["valid_from", "valid_to"])
+def test_numeric_manifest_instant_exits_2_with_line(tmp_path, field):
+    lines = (FIXTURES / "history" / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    record[field] = 5
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("\n".join([lines[0], json.dumps(record)]) + "\n", encoding="utf-8")
+    for command in ("evolve", "trend"):
+        result = invoke(
+            ["corpus", command, "--manifest", str(manifest), "--from", "2023-01", "--to", "2023-05"]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"{manifest}:2: malformed manifest record: " in result.output
+        assert "Traceback" not in result.output
+
+
 def doubling_anchors(lines):
     """Each line is a two-item list of aliases to the line before: paths double per line."""
     out = ["a0: &a0 [x, x]"]

@@ -199,3 +199,81 @@ def test_sequences_hold_nodes(node_ci_text):
     steps = dict(build.entries)["steps"]
     assert isinstance(steps, Sequence)
     assert len(steps.items) == 2
+
+
+def _discovery_tree(root):
+    """Repositories and stray files that exercise every discovery rule."""
+    files = [
+        "a/.github/workflows/ci.yml",
+        "a/.github/workflows/build.yaml",
+        "a/.github/workflows/Upper.YML",
+        "a/.github/workflows/sub/deeper.yml",
+        "a/.github/workflows/nested/.github/workflows/inner.yml",
+        "a/notes.yml",
+        "a/tools/.github/workflows/tool.yml",
+        "a-b/.github/workflows/x.yml",
+        ".hidden/.github/workflows/h.yml",
+        "real/.github/workflows/r.yml",
+        "target/.github/workflows/t.yaml",
+        "flat/a.yml",
+        "flat/sub/b.yaml",
+        "flat/.hidden/c.yml",
+        "flat/X.YML",
+        "flat/dir.yml/inner.yml",
+        "flat/notes.txt",
+        "outside/o.yml",
+    ]
+    for rel in files:
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("on: push\n", encoding="utf-8")
+    (root / "a/.github/workflows/dir.yml").mkdir()  # a directory, not a file
+    (root / "link").symlink_to(root / "real", target_is_directory=True)
+    (root / "viaenv").mkdir()
+    (root / "viaenv/.github").symlink_to(root / "target/.github", target_is_directory=True)
+    (root / "flat/linked").symlink_to(root / "outside", target_is_directory=True)
+    (root / "flat/file-link.yml").symlink_to(root / "outside/o.yml")
+    (root / "flat/broken.yml").symlink_to(root / "missing.yml")
+
+
+def test_discovery_pins_order_and_layout_rules(tmp_path):
+    _discovery_tree(tmp_path)
+
+    def found(root):
+        return [f.relative_to(tmp_path).as_posix() for f in wflens.discover_workflow_files(root)]
+
+    # Directories sort by path component, so "a/..." precedes "a-b/...".  A
+    # symlinked directory is not descended into, but a symlinked .github
+    # under a visited directory is followed.
+    assert found(tmp_path) == [
+        ".hidden/.github/workflows/h.yml",
+        "a/.github/workflows/build.yaml",
+        "a/.github/workflows/ci.yml",
+        "a/.github/workflows/nested/.github/workflows/inner.yml",
+        "a/tools/.github/workflows/tool.yml",
+        "a-b/.github/workflows/x.yml",
+        "real/.github/workflows/r.yml",
+        "target/.github/workflows/t.yaml",
+        "viaenv/.github/workflows/t.yaml",
+    ]
+    # A workflows directory given as the root is searched flat, unless a
+    # .github/workflows lies below it.
+    assert found(tmp_path / "a-b/.github/workflows") == ["a-b/.github/workflows/x.yml"]
+    assert found(tmp_path / "a/.github/workflows") == [
+        "a/.github/workflows/nested/.github/workflows/inner.yml",
+    ]
+    assert found(tmp_path / "a/.github/workflows/sub") == [
+        "a/.github/workflows/sub/deeper.yml",
+    ]
+    # Without any .github/workflows: every *.yml/*.yaml file, hidden
+    # directories included, case-sensitive, symlinked files but not
+    # symlinked directories or broken links.
+    assert found(tmp_path / "flat") == [
+        "flat/.hidden/c.yml",
+        "flat/a.yml",
+        "flat/dir.yml/inner.yml",
+        "flat/file-link.yml",
+        "flat/sub/b.yaml",
+    ]
+    assert found(tmp_path / "flat/a.yml") == ["flat/a.yml"]
+    assert found(tmp_path / "absent") == []
