@@ -108,6 +108,7 @@ def runs_from_api_dump(dump: dict) -> list[RunRecord]:
 class ReliabilityMetrics:
     workflow_id: str
     n_runs_counted: int
+    n_failures: int
     n_commits: int
     failure_rate: float | None
     ttr: timedelta | None
@@ -174,6 +175,7 @@ def reliability_metrics(
     return ReliabilityMetrics(
         workflow_id=workflow_id,
         n_runs_counted=len(counted),
+        n_failures=failures,
         n_commits=n_commits,
         failure_rate=failure_rate,
         ttr=ttr,
@@ -332,22 +334,53 @@ class RegressionRow:
     n: int
 
 
-def _regress_failure(x: list[float], successes: list[int], trials: list[int]):
-    design = np.column_stack([np.ones(len(x)), np.asarray(x, dtype=float)])
-    fit = fit_binomial_logistic(design, successes, trials, terms=("intercept", "slope"))
-    return fit
+def _regression_rows(
+    tables: list[tuple[str, str, dict[str, float]]],
+    metrics: list[ReliabilityMetrics],
+    min_runs: int,
+) -> list[RegressionRow]:
+    """Slope rows of both outcome models on each (predictor, analysis, x) table.
 
+    A table with fewer than 3 workflows of ``min_runs`` counted runs or a
+    constant x, and a fit that did not converge, give no row.  A workflow
+    with no counted run is never used: it has no failure odds.
+    """
+    usable = {m.workflow_id: m for m in metrics if m.n_runs_counted >= max(min_runs, 1)}
+    terms = ("intercept", "slope")
+    results = []
+    for predictor, analysis, table in tables:
+        ids = [w for w in sorted(table) if w in usable]
+        x = [float(table[w]) for w in ids]
+        if len(ids) < 3 or len(set(x)) < 2:
+            continue
+        rows = [usable[w] for w in ids]
+        design = np.column_stack([np.ones(len(x)), x])
+        failures = [m.n_failures for m in rows]
+        trials = [m.n_runs_counted for m in rows]
+        commits = [m.n_commits for m in rows]
+        fits = (
+            ("failure_rate", fit_binomial_logistic(design, failures, trials, terms=terms)),
+            ("n_commits", fit_negative_binomial(design, commits, terms=terms)),
+        )
+        for outcome, fit in fits:
+            if fit.converged:
+                results.append((predictor, outcome, analysis, effect_table(fit)[1], len(ids)))
 
-def _regress_commits(x: list[float], counts: list[int]):
-    design = np.column_stack([np.ones(len(x)), np.asarray(x, dtype=float)])
-    fit = fit_negative_binomial(design, counts, terms=("intercept", "slope"))
-    return fit
-
-
-def _slope_row(fit) -> tuple[float, float, float, float]:
-    table = effect_table(fit)
-    row = table[1]
-    return row.ratio, row.ci_low, row.ci_high, row.p_value
+    adjusted = bh_adjust([slope.p_value for _, _, _, slope, _ in results]) if results else []
+    return [
+        RegressionRow(
+            predictor=predictor,
+            outcome=outcome,
+            analysis=analysis,
+            ratio=slope.ratio,
+            ci_low=slope.ci_low,
+            ci_high=slope.ci_high,
+            p_raw=slope.p_value,
+            p_adjusted=adj,
+            n=n,
+        )
+        for (predictor, outcome, analysis, slope, n), adj in zip(results, adjusted)
+    ]
 
 
 def regress_sizes(
@@ -359,44 +392,12 @@ def regress_sizes(
 
     Failure odds use binomial logistic regression with the counted runs as
     trials; commit counts use the negative binomial.  Workflows with fewer
-    than ``min_runs`` counted runs are excluded.  BH spans all reported
-    slopes jointly.
+    than ``min_runs`` counted runs are excluded, and a metric with fewer
+    than 3 of them or a constant value gives no rows.  BH spans all
+    reported slopes jointly.
     """
-    usable = {m.workflow_id: m for m in metrics if m.n_runs_counted >= min_runs}
-    results = []
-    for size_metric in SIZE_METRICS:
-        if size_metric not in sizes:
-            continue
-        ids = [w for w in sorted(sizes[size_metric]) if w in usable]
-        if len(ids) < 3:
-            continue
-        x = [sizes[size_metric][w] for w in ids]
-        failures = [round(usable[w].failure_rate * usable[w].n_runs_counted) for w in ids]
-        trials = [usable[w].n_runs_counted for w in ids]
-        commits = [usable[w].n_commits for w in ids]
-        fit_f = _regress_failure(x, failures, trials)
-        fit_c = _regress_commits(x, commits)
-        for outcome, fit in (("failure_rate", fit_f), ("n_commits", fit_c)):
-            if not fit.converged:
-                continue
-            ratio, lo, hi, p = _slope_row(fit)
-            results.append((size_metric, outcome, "size", ratio, lo, hi, p, len(ids)))
-
-    adjusted = bh_adjust([r[6] for r in results]) if results else []
-    return [
-        RegressionRow(
-            predictor=pred,
-            outcome=outcome,
-            analysis=analysis,
-            ratio=ratio,
-            ci_low=lo,
-            ci_high=hi,
-            p_raw=p,
-            p_adjusted=adj,
-            n=n,
-        )
-        for (pred, outcome, analysis, ratio, lo, hi, p, n), adj in zip(results, adjusted)
-    ]
+    tables = [(metric, "size", sizes[metric]) for metric in SIZE_METRICS if metric in sizes]
+    return _regression_rows(tables, metrics, min_runs)
 
 
 def features_in_band(
@@ -437,40 +438,9 @@ def regress_features(
                 f"features outside the {USAGE_BAND[0]:.0%}-{USAGE_BAND[1]:.0%} usage band: "
                 + ", ".join(sorted(outside))
             )
-    usable = {m.workflow_id: m for m in metrics if m.n_runs_counted >= min_runs}
-
-    results = []
-    for feature in features:
-        for analysis, table in (("presence", presence[feature]), ("per_path", path_counts[feature])):
-            ids = [w for w in sorted(table) if w in usable]
-            if len(ids) < 3:
-                continue
-            x = [float(table[w]) for w in ids]
-            if len(set(x)) < 2:
-                continue
-            failures = [round(usable[w].failure_rate * usable[w].n_runs_counted) for w in ids]
-            trials = [usable[w].n_runs_counted for w in ids]
-            commits = [usable[w].n_commits for w in ids]
-            fit_f = _regress_failure(x, failures, trials)
-            fit_c = _regress_commits(x, commits)
-            for outcome, fit in (("failure_rate", fit_f), ("n_commits", fit_c)):
-                if not fit.converged:
-                    continue
-                ratio, lo, hi, p = _slope_row(fit)
-                results.append((feature, outcome, analysis, ratio, lo, hi, p, len(ids)))
-
-    adjusted = bh_adjust([r[6] for r in results]) if results else []
-    return [
-        RegressionRow(
-            predictor=pred,
-            outcome=outcome,
-            analysis=analysis,
-            ratio=ratio,
-            ci_low=lo,
-            ci_high=hi,
-            p_raw=p,
-            p_adjusted=adj,
-            n=n,
-        )
-        for (pred, outcome, analysis, ratio, lo, hi, p, n), adj in zip(results, adjusted)
+    tables = [
+        (feature, analysis, table)
+        for feature in features
+        for analysis, table in (("presence", presence[feature]), ("per_path", path_counts[feature]))
     ]
+    return _regression_rows(tables, metrics, min_runs)

@@ -295,6 +295,17 @@ def test_reliability_regress_features(clienv):
     assert {r["analysis"] for r in data["rows"]} == {"presence", "per_path"}
 
 
+@pytest.mark.parametrize("analysis", ["sizes", "features"])
+def test_reliability_regress_min_runs_zero_skips_workflows_without_runs(clienv, analysis):
+    # a window holding only some workflows' runs leaves the rest with no counted run
+    args = ["reliability", "regress", "--runs", clienv["runs"], "--sizes", clienv["sizes"]]
+    args += ["--window", "2023-01-01..2023-02-28", "--analysis", analysis]
+    zero = invoke([*args, "--min-runs", "0"])
+    assert zero.exit_code == 0, zero.output
+    assert zero.output == invoke([*args, "--min-runs", "1"]).output
+    assert json.loads(zero.output)["rows"]
+
+
 def test_scan_jsonl_feeds_reliability(tmp_path):
     scan_result = invoke(["scan", CORPUS, "--format", "jsonl"])
     assert scan_result.exit_code == 0

@@ -55,6 +55,17 @@ def test_fixture_file_semantics():
     assert never.failure_rate == pytest.approx(2 / 3)
 
 
+def test_failures_are_counted_not_rebuilt_from_the_rate():
+    groups = group_records(wflens.load_run_records(FIXTURES / "runs_semantics.jsonl"))
+    for workflow_id, records in groups.items():
+        m = wflens.reliability_metrics(records, WINDOW_100)
+        counted = [r for r in records if WINDOW_100[0] <= r.committed_at <= WINDOW_100[1]]
+        assert m.n_failures == sum(1 for r in counted if r.conclusion == "failure")
+        if m.failure_rate is not None:
+            assert m.failure_rate == m.n_failures / m.n_runs_counted
+    assert wflens.reliability_metrics(groups["halffail"], WINDOW_100).n_failures == 2
+
+
 def test_ttr_inline():
     m = wflens.reliability_metrics(
         runs("w", (0, "success"), (10, "failure"), (15, "failure"), (30, "success")),
@@ -317,3 +328,11 @@ def test_regress_features_skips_constant_predictor():
     counts = {"steady": {w: 3 for w in ids}}  # constant per-path counts
     rows = wflens.regress_features(presence, counts, metrics)
     assert {r.analysis for r in rows} == {"presence"}
+
+
+def test_regress_sizes_skips_constant_metric():
+    sizes, metrics = _regression_inputs()
+    sizes["n_constructs"] = {w: 7.0 for w in sizes["n_paths"]}
+    rows = wflens.regress_sizes(sizes, metrics)
+    assert {r.predictor for r in rows} == {"n_paths"}
+    assert rows == wflens.regress_sizes({"n_paths": sizes["n_paths"]}, metrics)
