@@ -359,13 +359,6 @@ def validate_workflow(
         for path in paths:
             construct = abstract_path(path, catalog.rules)
             examples.setdefault(construct, path)
-    return validation_report(bag, catalog, examples)
-
-
-def validation_report(
-    bag: ConstructBag, catalog: Catalog, examples: dict[Construct, ConcretePath]
-) -> ValidationReport:
-    """:func:`validate_workflow` given each construct's first concrete path."""
     return tally_constructs(bag_rows(bag, catalog)).report(examples)
 
 

@@ -10,8 +10,10 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Callable
 from datetime import datetime
 from pathlib import Path
+from typing import TypeVar
 
 import click
 
@@ -37,7 +39,7 @@ from .corpus import (
     month_range,
 )
 from .instants import parse_instant
-from .lint import RiskModel, default_risk_model, diagnostic_to_dict, evaluate, load_risk_model
+from .lint import default_risk_model, diagnostic_to_dict, evaluate, load_risk_model
 from .metrics import SIZE_METRICS, WorkflowMetrics
 from .model import discover_workflow_files
 from .reliability import (
@@ -45,13 +47,17 @@ from .reliability import (
     compare_groups,
     group_records,
     load_run_records,
+    load_scan_tables,
     outcome_table,
     regress_features,
     regress_sizes,
     reliability_metrics,
 )
-from .scan import scan_file, scan_record
+from .scan import ScanResult, scan_file, scan_record
 from .stats import mann_kendall
+
+
+T = TypeVar("T")
 
 
 class InputError(click.ClickException):
@@ -64,22 +70,35 @@ def _emit_json(data: object) -> None:
     click.echo(json.dumps(data, sort_keys=True, indent=2))
 
 
-def _load_catalog_arg(path: str | None) -> Catalog:
+def _load(what: str, load: Callable[[str], T], path: str | None, default: Callable[[], T]) -> T:
+    """``default()`` without a path, else ``load(path)`` with its faults as input errors."""
     if path is None:
-        return default_catalog()
+        return default()
     try:
-        return load_catalog(path)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load catalog {path}: {exc}") from exc
+        return load(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"cannot load {what} {path}: {exc}") from exc
 
 
-def _load_model_arg(path: str | None) -> RiskModel:
-    if path is None:
-        return default_risk_model()
+def _read(load: Callable[[str], T], path: str) -> T:
+    """``load(path)`` of a JSONL input, whose messages name the path already."""
     try:
-        return load_risk_model(path)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load risk model {path}: {exc}") from exc
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _parsed(results: list[ScanResult]) -> list[ScanResult]:
+    """The results that parsed, after writing each failure to stderr."""
+    for r in results:
+        if not r.parsed:
+            click.echo(f"{r.file}: {r.error}", err=True)
+    return [r for r in results if r.parsed]
+
+
+def _exit_if_failed(results: list[ScanResult]) -> None:
+    if any(not r.parsed for r in results):
+        sys.exit(2)
 
 
 def _expand_paths(paths: tuple[str, ...]) -> list[str]:
@@ -111,6 +130,11 @@ def _parse_window(text: str) -> tuple[datetime, datetime]:
 
 def _num(value: float | None) -> float | None:
     return None if value is None else round(value, 6)
+
+
+def _fields(row: object) -> dict:
+    """A dataclass row's fields, floats rounded by :func:`_num`."""
+    return {k: _num(v) if isinstance(v, float) else v for k, v in vars(row).items()}
 
 
 catalog_option = click.option(
@@ -159,9 +183,8 @@ def _scan_line(record: dict) -> str:
 )
 def scan(paths: tuple[str, ...], catalog_path: str | None, fmt: str) -> None:
     """Parse workflow files and report per-file size metrics."""
-    catalog = _load_catalog_arg(catalog_path)
-    files = _expand_paths(paths)
-    results = [scan_file(f, catalog) for f in files]
+    catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
+    results = [scan_file(f, catalog) for f in _expand_paths(paths)]
     records = sorted((scan_record(r) for r in results), key=lambda r: r["file"])
     if fmt == "json":
         _emit_json(records)
@@ -171,8 +194,7 @@ def scan(paths: tuple[str, ...], catalog_path: str | None, fmt: str) -> None:
     else:
         for record in records:
             click.echo(_scan_line(record))
-    if any(not r.parsed for r in results):
-        sys.exit(2)
+    _exit_if_failed(results)
 
 
 # ---------------------------------------------------------------- lint
@@ -194,23 +216,16 @@ def scan(paths: tuple[str, ...], catalog_path: str | None, fmt: str) -> None:
 )
 def lint(paths: tuple[str, ...], catalog_path: str | None, model_path: str | None, fmt: str) -> None:
     """Flag workflow traits associated with worse run outcomes."""
-    catalog = _load_catalog_arg(catalog_path)
-    model = _load_model_arg(model_path)
-    files = _expand_paths(paths)
+    catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
+    model = _load("risk model", load_risk_model, model_path, default_risk_model)
+    results = [scan_file(f, catalog) for f in _expand_paths(paths)]
 
-    parse_failed = False
     diagnostics = []
     risk: dict[str, dict] = {}
-    for file in files:
-        result = scan_file(file, catalog)
-        if not result.parsed:
-            parse_failed = True
-            click.echo(f"{file}: {result.error}", err=True)
-            continue
-        assert result.metrics is not None
-        diags, summary = evaluate(result.metrics, model, file=file)
+    for result in _parsed(results):
+        diags, summary = evaluate(result.metrics, model, file=result.file)
         diagnostics.extend(diags)
-        risk[file] = {
+        risk[result.file] = {
             "relative_failure_odds": round(summary.relative_failure_odds, 4),
             "relative_commit_rate": round(summary.relative_commit_rate, 4),
             "caveat": summary.caveat,
@@ -232,8 +247,7 @@ def lint(paths: tuple[str, ...], catalog_path: str | None, model_path: str | Non
                 f"{file}: relative failure odds {entry['relative_failure_odds']}, "
                 f"relative commit rate {entry['relative_commit_rate']}"
             )
-    if parse_failed:
-        sys.exit(2)
+    _exit_if_failed(results)
     if any(d.severity == "warn" for d in diagnostics):
         sys.exit(1)
 
@@ -250,7 +264,7 @@ def catalog_group() -> None:
 @catalog_option
 def catalog_validate(catalog_path: str | None) -> None:
     """Check a catalog's totals against the published composition."""
-    catalog = _load_catalog_arg(catalog_path)
+    catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
     report = validate_catalog(catalog)
     for check in report.checks:
         mark = "ok" if check.passed else "FAIL"
@@ -264,19 +278,13 @@ def catalog_validate(catalog_path: str | None) -> None:
 @catalog_option
 def catalog_extract(paths: tuple[str, ...], catalog_path: str | None) -> None:
     """Build a catalog skeleton from the constructs observed in files."""
-    catalog = _load_catalog_arg(catalog_path)
-    files = _expand_paths(paths)
-    results = [scan_file(f, catalog) for f in files]
-    failed = [r for r in results if not r.parsed]
-    for r in failed:
-        click.echo(f"{r.file}: {r.error}", err=True)
-    bags = [r.bag for r in results if r.bag is not None]
+    catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
+    results = [scan_file(f, catalog) for f in _expand_paths(paths)]
+    bags = [r.bag for r in _parsed(results)]
     if not bags:
         raise InputError("no workflow files could be parsed")
-    extracted = extract_catalog(bags, rules=catalog.rules)
-    _emit_json(catalog_to_data(extracted))
-    if failed:
-        sys.exit(2)
+    _emit_json(catalog_to_data(extract_catalog(bags, rules=catalog.rules)))
+    _exit_if_failed(results)
 
 
 @catalog_group.command("classify")
@@ -284,7 +292,7 @@ def catalog_extract(paths: tuple[str, ...], catalog_path: str | None) -> None:
 @catalog_option
 def catalog_classify(construct_text: str, catalog_path: str | None) -> None:
     """Print the feature of one abstract construct (or "unknown")."""
-    catalog = _load_catalog_arg(catalog_path)
+    catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
     try:
         construct = parse_construct(construct_text)
     except ValueError as exc:
@@ -312,18 +320,13 @@ def corpus_group() -> None:
 @catalog_option
 def corpus_stats_cmd(paths: tuple[str, ...], catalog_path: str | None) -> None:
     """Frequency, concentration, and size distributions of a corpus."""
-    catalog = _load_catalog_arg(catalog_path)
-    files = _expand_paths(paths)
-    results = [scan_file(f, catalog) for f in files]
-    failed = [r for r in results if not r.parsed]
-    for r in failed:
-        click.echo(f"{r.file}: {r.error}", err=True)
-    scans = [(r.metrics, r.bag) for r in results if r.metrics is not None and r.bag is not None]
+    catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
+    results = [scan_file(f, catalog) for f in _expand_paths(paths)]
+    scans = [(r.metrics, r.bag) for r in _parsed(results)]
     if not scans:
         raise InputError("no workflow files could be parsed")
     _emit_json(corpus_stats_to_dict(corpus_stats(scans)))
-    if failed:
-        sys.exit(2)
+    _exit_if_failed(results)
 
 
 def _metric_value(metrics: WorkflowMetrics, metric: str) -> float:
@@ -394,27 +397,12 @@ def corpus_evolve(
 ) -> None:
     """Monthly aggregates of one metric over snapshotted corpora."""
     _check_metric_name(metric)
-    catalog = _load_catalog_arg(catalog_path)
+    catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
     values_by_month = _monthly_values(manifest, start, end, metric, catalog)
     series = evolution_series(values_by_month, metric)
 
     if fmt == "json":
-        _emit_json(
-            {
-                "metric": series.metric,
-                "points": [
-                    {
-                        "month": p.month,
-                        "n": p.n,
-                        "mean": _num(p.mean),
-                        "median": _num(p.median),
-                        "q1": _num(p.q1),
-                        "q3": _num(p.q3),
-                    }
-                    for p in series.points
-                ],
-            }
-        )
+        _emit_json({"metric": series.metric, "points": [_fields(p) for p in series.points]})
         return
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -452,7 +440,7 @@ def corpus_trend(
 ) -> None:
     """Mann-Kendall monotonic-trend test on a monthly aggregate."""
     _check_metric_name(metric)
-    catalog = _load_catalog_arg(catalog_path)
+    catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
     values_by_month = _monthly_values(manifest, start, end, metric, catalog)
     series = evolution_series(values_by_month, metric)
     used = [p for p in series.points if p.n > 0]
@@ -499,13 +487,6 @@ sizes_option = click.option(
 )
 
 
-def _load_runs_arg(path: str):
-    try:
-        return load_run_records(path)
-    except (OSError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
-
-
 def _all_metrics(records, window: tuple[datetime, datetime]) -> list[ReliabilityMetrics]:
     groups = group_records(records)
     return [reliability_metrics(groups[w], window) for w in sorted(groups)]
@@ -522,49 +503,6 @@ def _metrics_row(m: ReliabilityMetrics) -> dict:
     }
 
 
-def _load_scan_tables(path: str):
-    """Size, presence, and per-feature path tables from a scan JSONL file."""
-    sizes: dict[str, dict[str, float]] = {m: {} for m in SIZE_METRICS}
-    presence: dict[str, dict[str, bool]] = {f: {} for f in FEATURES}
-    path_counts: dict[str, dict[str, int]] = {f: {} for f in FEATURES}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise InputError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-                if not isinstance(record, dict):
-                    raise InputError(f"{path}:{lineno}: scan record is not a JSON object")
-                if "n_paths" not in record:
-                    continue  # parse-failure records carry no sizes
-                try:
-                    workflow_id = record.get("workflow_id") or record["file"]
-                    if workflow_id in sizes["n_paths"]:
-                        raise InputError(f"{path}:{lineno}: duplicate workflow_id {workflow_id!r}")
-                    for metric in SIZE_METRICS:
-                        sizes[metric][workflow_id] = float(record[metric])
-                    for feature, usage in record.get("features", {}).items():
-                        if feature not in presence:
-                            continue
-                        presence[feature][workflow_id] = bool(
-                            usage["present"] and not usage["structural_only"]
-                        )
-                        path_counts[feature][workflow_id] = int(usage["n_paths"])
-                except KeyError as exc:
-                    raise InputError(f"{path}:{lineno}: scan record lacks {exc}") from exc
-                except (TypeError, ValueError, AttributeError) as exc:
-                    raise InputError(f"{path}:{lineno}: bad scan record: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read sizes file {path}: {exc}") from exc
-    if not sizes["n_paths"]:
-        raise InputError(f"sizes file {path} holds no scan records with metrics")
-    return sizes, presence, path_counts
-
-
 @reliability_group.command("metrics")
 @runs_option
 @window_option
@@ -574,7 +512,7 @@ def _load_scan_tables(path: str):
 def reliability_metrics_cmd(runs_path: str, window_text: str, fmt: str) -> None:
     """Per-workflow failure rate, commits, recovery time, availability."""
     window = _parse_window(window_text)
-    records = _load_runs_arg(runs_path)
+    records = _read(load_run_records, runs_path)
     if not records:
         raise InputError(f"no run records in {runs_path}")
     rows = [_metrics_row(m) for m in _all_metrics(records, window)]
@@ -602,8 +540,8 @@ def reliability_compare(
 ) -> None:
     """Small-vs-large workflow comparison on every outcome metric."""
     window = _parse_window(window_text)
-    records = _load_runs_arg(runs_path)
-    sizes, _, _ = _load_scan_tables(sizes_path)
+    records = _read(load_run_records, runs_path)
+    sizes, _, _ = _read(load_scan_tables, sizes_path)
     metrics = _all_metrics(records, window)
     try:
         report = compare_groups(sizes, outcome_table(metrics), alpha=alpha)
@@ -655,13 +593,16 @@ def reliability_regress(
 ) -> None:
     """Univariate outcome regressions on sizes or feature usage."""
     window = _parse_window(window_text)
-    records = _load_runs_arg(runs_path)
-    sizes, presence, path_counts = _load_scan_tables(sizes_path)
+    records = _read(load_run_records, runs_path)
+    sizes, presence, path_counts = _read(load_scan_tables, sizes_path)
     metrics = _all_metrics(records, window)
     if analysis == "sizes":
         if features_text is not None:
             raise click.UsageError("--features only applies to --analysis features")
-        rows = regress_sizes(sizes, metrics, min_runs=min_runs)
+        try:
+            rows = regress_sizes(sizes, metrics, min_runs=min_runs)
+        except ValueError as exc:  # a fit on sizes too far apart for floats
+            raise InputError(str(exc)) from exc
     else:
         wanted = None
         if features_text is not None:
@@ -675,25 +616,7 @@ def reliability_regress(
             )
         except ValueError as exc:
             raise click.UsageError(str(exc)) from exc
-    _emit_json(
-        {
-            "analysis": analysis,
-            "rows": [
-                {
-                    "predictor": r.predictor,
-                    "outcome": r.outcome,
-                    "analysis": r.analysis,
-                    "ratio": _num(r.ratio),
-                    "ci_low": _num(r.ci_low),
-                    "ci_high": _num(r.ci_high),
-                    "p_raw": _num(r.p_raw),
-                    "p_adjusted": _num(r.p_adjusted),
-                    "n": r.n,
-                }
-                for r in rows
-            ],
-        }
-    )
+    _emit_json({"analysis": analysis, "rows": [_fields(r) for r in rows]})
 
 
 def main(argv: list[str] | None = None) -> None:

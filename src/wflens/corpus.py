@@ -8,7 +8,6 @@ boundaries (the first UTC instant of each month).
 
 from __future__ import annotations
 
-import json
 import statistics
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -18,7 +17,7 @@ import numpy as np
 
 from .abstraction import Construct, ConstructBag, Placeholder, Wildcard, render_construct
 from .catalog import FEATURES, Catalog
-from .instants import parse_instant
+from .instants import parse_instant, read_jsonl
 from .metrics import WorkflowMetrics
 from .stats import FiveNumber, five_number, gini, spearman
 
@@ -141,24 +140,19 @@ def load_history_manifest(path: str | Path) -> list[HistoryInterval]:
     """Read a JSONL history manifest; file references stay relative to it."""
     intervals: list[HistoryInterval] = []
     base = Path(path).parent
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                intervals.append(
-                    HistoryInterval(
-                        workflow_id=row["workflow_id"],
-                        repo=row.get("repo", ""),
-                        valid_from=parse_instant(row["valid_from"]),
-                        valid_to=parse_instant(row["valid_to"]) if row.get("valid_to") else None,
-                        file=str(base / row["file"]),
-                    )
+    for lineno, row in read_jsonl(path, "manifest record"):
+        try:
+            intervals.append(
+                HistoryInterval(
+                    workflow_id=row["workflow_id"],
+                    repo=row.get("repo", ""),
+                    valid_from=parse_instant(row["valid_from"]),
+                    valid_to=parse_instant(row["valid_to"]) if row.get("valid_to") else None,
+                    file=str(base / row["file"]),
                 )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed manifest record: {exc}") from exc
+            )
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed manifest record: {exc}") from exc
     return intervals
 
 

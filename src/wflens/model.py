@@ -97,19 +97,18 @@ _NESTING_CHARS = "[{-?:"
 _UNCHECKED_NESTING = MAX_DEPTH if _LOADER is yaml.SafeLoader else 10_000
 
 _PLAIN = object()
-"""The tag a kernel loader gives a plain scalar, whose resolution it skips."""
+"""The tag a plain scalar keeps until :func:`_tag` resolves it where it is read."""
 _RESOLVER = yaml.resolver.Resolver()
 _BOOL_TAG = "tag:yaml.org,2002:bool"
 
 
 @lru_cache(maxsize=None)
 def _kernel_loader(base: type) -> type:
-    """``base`` without implicit tag resolution, for the scan kernel.
+    """``base`` without implicit tag resolution.
 
     A plain scalar is tagged :data:`_PLAIN` and any other node gets the tag
-    the full resolver gives it without reading its text.  The kernel reads
-    a tag only on a top-level key (:func:`_key_text`), and no path
-    resolvers are registered, so descending and ascending do nothing.
+    the full resolver gives it without reading its text.  No path resolvers
+    are registered, so descending and ascending do nothing.
     """
 
     class KernelLoader(base):
@@ -154,8 +153,15 @@ def _duplicate_key(node: yaml.Node, key: str) -> WorkflowParseError:
     return _error_at(node, f"duplicate mapping key {key!r}")
 
 
+def _tag(node: yaml.ScalarNode) -> str:
+    """The tag the full resolver gives ``node``, resolved only when read."""
+    if node.tag is _PLAIN:
+        return _RESOLVER.resolve(yaml.ScalarNode, node.value, (True, False))
+    return node.tag
+
+
 def _scalar_value(node: yaml.ScalarNode) -> Scalar:
-    kind = _SCALAR_KINDS.get(node.tag, "string")
+    kind = _SCALAR_KINDS.get(_tag(node), "string")
     text = node.value
     if kind == "bool":
         # An explicit !!bool tag may sit on any text.
@@ -185,12 +191,8 @@ def _key_text(node: yaml.Node, top_level: bool) -> str:
     # platform reads such a top-level key as the trigger table, so it is
     # normalized to the literal key "on"; everywhere else the raw spelling
     # is kept, which also keeps off/no/false keys as strings.
-    if top_level:
-        tag = node.tag
-        if tag is _PLAIN:
-            tag = _RESOLVER.resolve(yaml.ScalarNode, text, (True, False))
-        if tag == _BOOL_TAG and _BOOL_WORDS.get(text.lower()):
-            return "on"
+    if top_level and _tag(node) == _BOOL_TAG and _BOOL_WORDS.get(text.lower()):
+        return "on"
     return text
 
 
@@ -206,23 +208,21 @@ def _check_depth(text: str) -> None:
             depth -= 1
 
 
-def compose_workflow(text: str, *, resolve_tags: bool = True) -> yaml.MappingNode:
+def compose_workflow(text: str) -> yaml.MappingNode:
     """Compose one YAML document into its root node, with libyaml when available.
 
     A UTF-8 BOM is tolerated.  Syntax errors, empty and multi-document
     streams, and non-mapping roots raise :class:`WorkflowParseError`, as
     does nesting past :data:`MAX_DEPTH` in a text large enough to reach
-    the composer's recursion limit.  Anchors are not expanded here.
-    Without ``resolve_tags`` plain scalars keep an unresolved tag, which
-    only :func:`_key_text` may read.
+    the composer's recursion limit.  Anchors are not expanded here, and
+    plain scalars keep an unresolved tag that only :func:`_tag` may read.
     """
     if text.startswith("\ufeff"):
         text = text[1:]
     try:
         if sum(map(text.count, _NESTING_CHARS)) > _UNCHECKED_NESTING:
             _check_depth(text)
-        loader = _LOADER if resolve_tags else _kernel_loader(_LOADER)
-        documents = list(yaml.compose_all(text, Loader=loader))
+        documents = list(yaml.compose_all(text, Loader=_kernel_loader(_LOADER)))
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark or exc.context_mark
         problem = exc.problem or str(exc)

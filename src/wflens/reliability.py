@@ -8,15 +8,16 @@ kept for commit counting but cause no state transition.
 
 from __future__ import annotations
 
-import json
 import logging
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .instants import parse_instant
+from .catalog import FEATURES
+from .instants import parse_instant, read_jsonl
 from .metrics import SIZE_METRICS
 from .stats import (
     EffectSize,
@@ -52,56 +53,72 @@ def load_run_records(path: str | Path) -> list[RunRecord]:
     malformed lines raise with their line number.
     """
     records: list[RunRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+    for lineno, row in read_jsonl(path, "run record"):
+        try:
+            conclusion = str(row["conclusion"])
+            if conclusion not in CONCLUSIONS:
+                log.warning("%s:%d: unknown conclusion %r mapped to 'other'", path, lineno, conclusion)
+                conclusion = "other"
+            records.append(
+                RunRecord(
+                    workflow_id=str(row["workflow_id"]),
+                    commit_sha=str(row["commit_sha"]),
+                    committed_at=parse_instant(row["committed_at"]),
+                    conclusion=conclusion,
+                )
+            )
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed run record: {exc}") from exc
+    records.sort(key=lambda r: (r.workflow_id, r.committed_at))
+    return records
+
+
+def _finite(number: float) -> float:
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite number {number}")
+    return number
+
+
+def load_scan_tables(
+    path: str | Path,
+) -> tuple[dict[str, dict[str, float]], dict[str, dict[str, bool]], dict[str, dict[str, int]]]:
+    """Size, presence and per-feature path tables from scan records in JSONL.
+
+    Records of files that failed to parse carry no sizes and are skipped.
+    A malformed record, a non-finite number or a duplicate ``workflow_id``
+    (else ``file``) raises :class:`ValueError` with its line number.
+    """
+    sizes: dict[str, dict[str, float]] = {m: {} for m in SIZE_METRICS}
+    presence: dict[str, dict[str, bool]] = {f: {} for f in FEATURES}
+    path_counts: dict[str, dict[str, int]] = {f: {} for f in FEATURES}
+    try:
+        for lineno, record in read_jsonl(path, "scan record"):
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: scan record is not a JSON object")
+            if "n_paths" not in record:
                 continue
             try:
-                row = json.loads(line)
-                conclusion = str(row["conclusion"])
-                if conclusion not in CONCLUSIONS:
-                    log.warning(
-                        "%s:%d: unknown conclusion %r mapped to 'other'", path, lineno, conclusion
-                    )
-                    conclusion = "other"
-                records.append(
-                    RunRecord(
-                        workflow_id=str(row["workflow_id"]),
-                        commit_sha=str(row["commit_sha"]),
-                        committed_at=parse_instant(row["committed_at"]),
-                        conclusion=conclusion,
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed run record: {exc}") from exc
-    records.sort(key=lambda r: (r.workflow_id, r.committed_at))
-    return records
-
-
-def runs_from_api_dump(dump: dict) -> list[RunRecord]:
-    """Convert a CI provider's REST run-listing dump into run records.
-
-    Expects the ``{"workflow_runs": [...]}`` shape with ``head_sha``,
-    ``created_at``/``run_started_at``, ``conclusion``, and a workflow
-    reference per run.  Purely offline; no network access.
-    """
-    records = []
-    for run in dump.get("workflow_runs", []):
-        conclusion = run.get("conclusion") or "other"
-        if conclusion not in CONCLUSIONS:
-            conclusion = "other"
-        workflow_id = str(run.get("path") or run.get("workflow_id") or "")
-        records.append(
-            RunRecord(
-                workflow_id=workflow_id,
-                commit_sha=str(run.get("head_sha", "")),
-                committed_at=parse_instant(run.get("run_started_at") or run["created_at"]),
-                conclusion=conclusion,
-            )
-        )
-    records.sort(key=lambda r: (r.workflow_id, r.committed_at))
-    return records
+                workflow_id = record.get("workflow_id") or record["file"]
+                duplicate = workflow_id in sizes["n_paths"]
+                if not duplicate:
+                    for metric in SIZE_METRICS:
+                        sizes[metric][workflow_id] = _finite(float(record[metric]))
+                    for feature, usage in record.get("features", {}).items():
+                        if feature in presence:
+                            used = usage["present"] and not usage["structural_only"]
+                            presence[feature][workflow_id] = bool(used)
+                            path_counts[feature][workflow_id] = _finite(int(usage["n_paths"]))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: scan record lacks {exc}") from exc
+            except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad scan record: {exc}") from exc
+            if duplicate:
+                raise ValueError(f"{path}:{lineno}: duplicate workflow_id {workflow_id!r}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read sizes file {path}: {exc}") from exc
+    if not sizes["n_paths"]:
+        raise ValueError(f"sizes file {path} holds no scan records with metrics")
+    return sizes, presence, path_counts
 
 
 @dataclass(frozen=True)
@@ -234,10 +251,6 @@ class ComparisonCell:
     p_adjusted: float | None
     effect: EffectSize | None
     significant: bool
-
-    @property
-    def computable(self) -> bool:
-        return self.p_raw is not None
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,7 @@ def scan_text(text: str, file: str, catalog: Catalog | None = None) -> ScanResul
         catalog = default_catalog()
     index = catalog.index
     try:
-        counts, examples, n_paths = _walk(compose_workflow(text, resolve_tags=False), index)
+        counts, examples, n_paths = _walk(compose_workflow(text), index)
     except WorkflowParseError as exc:
         return ScanResult(file=file, error=exc, bag=None, metrics=None, validation=None)
     bag = ConstructBag({node.construct: n for node, n in counts.items()}, n_paths)

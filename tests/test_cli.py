@@ -496,6 +496,68 @@ def test_numeric_manifest_instant_exits_2_with_line(tmp_path, field):
         assert "Traceback" not in result.output
 
 
+def test_out_of_range_commit_instant_exits_2_with_line(tmp_path, capsys):
+    run = {"workflow_id": "a", "commit_sha": "x", "committed_at": "9999-12-31T23:59:59-05:00",
+           "conclusion": "success"}
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text(json.dumps(run) + "\n", encoding="utf-8")
+    assert run_main(["reliability", "metrics", "--runs", str(runs), "--window", WINDOW]) == 2
+    err = capsys.readouterr().err
+    assert f"{runs}:1: malformed run record: " in err and "out of range" in err
+
+
+def test_out_of_range_manifest_instant_exits_2_with_line(tmp_path, capsys):
+    lines = (FIXTURES / "history" / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+    record = dict(json.loads(lines[1]), valid_from="0001-01-01T00:00:00+05:00")
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("\n".join([lines[0], json.dumps(record)]) + "\n", encoding="utf-8")
+    args = ["corpus", "evolve", "--manifest", str(manifest), "--from", "2023-01", "--to", "2023-05"]
+    assert run_main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}:2: malformed manifest record: " in err and "out of range" in err
+
+
+def test_out_of_range_window_instant_is_a_usage_error(capsys):
+    window = "0001-01-01T00:00:00+05:00..2023-12-31"
+    assert run_main(["reliability", "metrics", "--runs", RUNS, "--window", window]) == 64
+    assert "bad window instant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad_record, commands",
+    [
+        (
+            _sizes_record("repo/b.yml", features={
+                "commands": {"present": True, "structural_only": False, "n_paths": float("inf")}
+            }),
+            [["regress", "--analysis", "features"]],
+        ),
+        (_sizes_record("repo/b.yml", n_paths=float("inf")), [["regress"], ["compare"]]),
+        (_sizes_record("repo/b.yml", n_constructs=float("nan")), [["regress"], ["compare"]]),
+    ],
+    ids=["infinite-feature-paths", "infinite-size", "nan-size"],
+)
+def test_non_finite_sizes_exit_2_with_line(tmp_path, clienv, capsys, bad_record, commands):
+    sizes = tmp_path / "sizes.jsonl"
+    lines = [json.dumps(_sizes_record("repo/a.yml")), json.dumps(bad_record)]
+    sizes.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for command in commands:
+        args = ["reliability", *command, "--runs", clienv["runs"], "--sizes", str(sizes)]
+        assert run_main([*args, "--window", "2023-01-01..2023-12-31"]) == 2
+        err = capsys.readouterr().err
+        assert f"{sizes}:2: bad scan record: " in err
+
+
+def test_sizes_too_far_apart_for_a_fit_exit_2(tmp_path, clienv, capsys):
+    lines = open(clienv["sizes"], encoding="utf-8").read().splitlines()
+    lines[0] = json.dumps(dict(json.loads(lines[0]), n_paths=1e20))
+    sizes = tmp_path / "sizes.jsonl"
+    sizes.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = ["reliability", "regress", "--runs", clienv["runs"], "--sizes", str(sizes)]
+    assert run_main([*args, "--window", "2023-01-01..2023-12-31"]) == 2
+    assert "Error: design matrix is rank deficient" in capsys.readouterr().err
+
+
 def doubling_anchors(lines):
     """Each line is a two-item list of aliases to the line before: paths double per line."""
     out = ["a0: &a0 [x, x]"]

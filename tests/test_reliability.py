@@ -12,7 +12,6 @@ from wflens.reliability import (
     features_in_band,
     group_records,
     outcome_table,
-    runs_from_api_dump,
 )
 
 from conftest import FIXTURES
@@ -158,28 +157,6 @@ def test_loader_sorts_records():
     records = wflens.load_run_records(FIXTURES / "runs_semantics.jsonl")
     keys = [(r.workflow_id, r.committed_at) for r in records]
     assert keys == sorted(keys)
-
-
-def test_api_dump_conversion():
-    dump = {
-        "workflow_runs": [
-            {
-                "path": ".github/workflows/ci.yml",
-                "head_sha": "abc",
-                "created_at": "2023-01-02T03:04:05Z",
-                "conclusion": "success",
-            },
-            {
-                "path": ".github/workflows/ci.yml",
-                "head_sha": "def",
-                "created_at": "2023-01-01T00:00:00Z",
-                "conclusion": None,
-            },
-        ]
-    }
-    records = runs_from_api_dump(dump)
-    assert [r.commit_sha for r in records] == ["def", "abc"]
-    assert records[0].conclusion == "other"
 
 
 # --------------------------------------------------------------- grouping
