@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
 
+from .instants import expect
 from .model import ConcretePath, Index, Key
 
 PLACEHOLDER_KINDS = ("id", "var", "param", "s_id")
@@ -178,6 +179,10 @@ def _segment_token(segment: AbstractSegment) -> str:
     return f"<{segment.kind}>"
 
 
+def _strings(value, what: str) -> list[str]:
+    return [expect(item, str, f"{what} item") for item in expect(value, list, what)]
+
+
 def _prefix_from_tokens(tokens: list[str]) -> Construct:
     out: list[AbstractSegment] = []
     for token in tokens:
@@ -192,12 +197,15 @@ def _prefix_from_tokens(tokens: list[str]) -> Construct:
 
 def ruleset_from_data(data: list[dict]) -> AbstractionRuleSet:
     rules = []
-    for item in data:
+    for item in expect(data, list, "abstraction rules"):
+        kind = expect(item, dict, "abstraction rule")["kind"]
+        if kind not in PLACEHOLDER_KINDS:
+            raise ValueError(f"unknown placeholder kind {kind!r}")
         rules.append(
             AbstractionRule(
-                prefix=_prefix_from_tokens(item["prefix"]),
-                kind=item["kind"],
-                except_keys=frozenset(item.get("except", ())),
+                prefix=_prefix_from_tokens(_strings(item["prefix"], "rule prefix")),
+                kind=kind,
+                except_keys=frozenset(_strings(item.get("except", []), "rule except keys")),
             )
         )
     return AbstractionRuleSet(tuple(rules))

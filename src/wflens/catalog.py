@@ -32,6 +32,7 @@ from .abstraction import (
     ruleset_from_data,
     ruleset_to_data,
 )
+from .instants import expect
 from .model import ConcretePath, Key
 
 FEATURES: tuple[str, ...] = (
@@ -243,7 +244,7 @@ def level_of(construct: Construct) -> str:
 
 
 def _entry_from_data(item: dict) -> CatalogEntry:
-    construct = parse_construct(item["construct"])
+    construct = parse_construct(expect(item["construct"], str, "catalog construct"))
     level = item["level"]
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r} for {item['construct']}")
@@ -264,9 +265,10 @@ def _entry_from_data(item: dict) -> CatalogEntry:
 
 
 def catalog_from_data(data: dict) -> Catalog:
+    expect(data, dict, "catalog")
     entries: dict[Construct, CatalogEntry] = {}
-    for item in data["constructs"]:
-        entry = _entry_from_data(item)
+    for item in expect(data["constructs"], list, "catalog constructs"):
+        entry = _entry_from_data(expect(item, dict, "catalog construct entry"))
         if entry.construct in entries:
             raise ValueError(f"duplicate catalog construct {item['construct']}")
         entries[entry.construct] = entry

@@ -44,6 +44,7 @@ from .metrics import SIZE_METRICS, WorkflowMetrics
 from .model import discover_workflow_files
 from .reliability import (
     ReliabilityMetrics,
+    UsageBandError,
     compare_groups,
     group_records,
     load_run_records,
@@ -71,12 +72,12 @@ def _emit_json(data: object) -> None:
 
 
 def _load(what: str, load: Callable[[str], T], path: str | None, default: Callable[[], T]) -> T:
-    """``default()`` without a path, else ``load(path)`` with its faults as input errors."""
+    """``default()`` without a path, else ``load(path)`` with its faults, deep JSON too, as input errors."""
     if path is None:
         return default()
     try:
         return load(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise InputError(f"cannot load {what} {path}: {exc}") from exc
 
 
@@ -596,26 +597,23 @@ def reliability_regress(
     records = _read(load_run_records, runs_path)
     sizes, presence, path_counts = _read(load_scan_tables, sizes_path)
     metrics = _all_metrics(records, window)
-    if analysis == "sizes":
-        if features_text is not None:
-            raise click.UsageError("--features only applies to --analysis features")
-        try:
+    if analysis == "sizes" and features_text is not None:
+        raise click.UsageError("--features only applies to --analysis features")
+    wanted = None
+    if features_text is not None:
+        wanted = [f.strip() for f in features_text.split(",") if f.strip()]
+        unknown = [f for f in wanted if f not in FEATURES]
+        if unknown:
+            raise click.UsageError(f"unknown features: {', '.join(unknown)}")
+    try:
+        if analysis == "sizes":
             rows = regress_sizes(sizes, metrics, min_runs=min_runs)
-        except ValueError as exc:  # a fit on sizes too far apart for floats
-            raise InputError(str(exc)) from exc
-    else:
-        wanted = None
-        if features_text is not None:
-            wanted = [f.strip() for f in features_text.split(",") if f.strip()]
-            unknown = [f for f in wanted if f not in FEATURES]
-            if unknown:
-                raise click.UsageError(f"unknown features: {', '.join(unknown)}")
-        try:
-            rows = regress_features(
-                presence, path_counts, metrics, min_runs=min_runs, features=wanted
-            )
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
+        else:
+            rows = regress_features(presence, path_counts, metrics, min_runs=min_runs, features=wanted)
+    except UsageBandError as exc:
+        raise click.UsageError(str(exc)) from exc
+    except ValueError as exc:  # a fit on predictors too far apart for floats
+        raise InputError(str(exc)) from exc
     _emit_json({"analysis": analysis, "rows": [_fields(r) for r in rows]})
 
 

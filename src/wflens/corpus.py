@@ -104,12 +104,8 @@ def corpus_stats(scans: list[tuple[WorkflowMetrics, ConstructBag]]) -> CorpusSta
     feature_ratio: dict[str, FiveNumber | None] = {}
     for feature in FEATURES:
         used = [m.per_feature[feature] for m, _ in scans if m.per_feature[feature].present]
-        feature_coverage[feature] = (
-            five_number([float(u.construct_coverage) for u in used]) if used else None
-        )
-        feature_ratio[feature] = (
-            five_number([float(u.path_to_construct_ratio) for u in used]) if used else None
-        )
+        feature_coverage[feature] = five_number([u.construct_coverage for u in used]) if used else None
+        feature_ratio[feature] = five_number([u.path_to_construct_ratio for u in used]) if used else None
 
     return CorpusStats(
         n_workflows=n,
@@ -121,7 +117,7 @@ def corpus_stats(scans: list[tuple[WorkflowMetrics, ConstructBag]]) -> CorpusSta
         dist_n_paths=five_number(n_paths),
         dist_n_constructs=five_number(n_constructs),
         dist_n_features=five_number([m.n_features for m, _ in scans]),
-        dist_ratio=five_number([float(m.path_construct_ratio) for m, _ in scans]),
+        dist_ratio=five_number([m.path_construct_ratio for m, _ in scans]),
         feature_coverage=feature_coverage,
         feature_ratio=feature_ratio,
     )

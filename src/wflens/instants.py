@@ -1,4 +1,4 @@
-"""Line-oriented inputs: instants and JSONL records of runs, manifests and scans."""
+"""Inputs: instants, JSON type checks, and JSONL records of runs, manifests and scans."""
 
 from __future__ import annotations
 
@@ -25,10 +25,18 @@ def parse_instant(text: str) -> datetime:
         raise ValueError(f"instant {text!r} is out of range in UTC") from exc
 
 
+def expect(value, kind: type, what: str):
+    """``value``, checked to be a ``kind``: dict, list or str for a JSON object, array or string."""
+    if not isinstance(value, kind):
+        names = {dict: "an object", list: "an array", str: "a string"}
+        raise ValueError(f"{what} must be {names[kind]}, not {type(value).__name__}")
+    return value
+
+
 def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, object]]:
     """The line number and decoded JSON value of each non-blank line.
 
-    A line that is not JSON raises :class:`ValueError` as
+    A line that is not JSON, or nested too deeply to decode, raises :class:`ValueError` as
     ``path:line: malformed <what>: ...``; unreadable or undecodable files
     raise what ``open`` and reading raise.
     """
@@ -39,6 +47,6 @@ def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, object]]:
                 continue
             try:
                 value = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
             yield lineno, value

@@ -15,6 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .catalog import FEATURES
+from .instants import expect
 from .metrics import SIZE_METRICS, WorkflowMetrics
 
 CAVEAT = "This is an association observed across workflows, not a causal guarantee."
@@ -69,8 +70,9 @@ class RiskSummary:
 
 
 def risk_model_from_data(data: dict) -> RiskModel:
+    expect(data, dict, "risk model")
     thresholds: dict[str, tuple[float, float]] = {}
-    for metric, pair in data.get("size_thresholds", {}).items():
+    for metric, pair in expect(data.get("size_thresholds", {}), dict, "size_thresholds").items():
         if metric not in SIZE_METRICS:
             raise ValueError(f"unknown size metric {metric!r} in risk model")
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -81,7 +83,7 @@ def risk_model_from_data(data: dict) -> RiskModel:
         thresholds[metric] = (t1, t2)
 
     size_effects: dict[str, SizeEffect] = {}
-    for metric, row in data.get("size_effects", {}).items():
+    for metric, row in expect(data.get("size_effects", {}), dict, "size_effects").items():
         if metric not in SIZE_METRICS:
             raise ValueError(f"unknown size metric {metric!r} in risk model")
         if not isinstance(row, dict) or "failure_or" not in row or "commits_irr" not in row:
@@ -92,7 +94,7 @@ def risk_model_from_data(data: dict) -> RiskModel:
         size_effects[metric] = effect
 
     feature_effects: dict[str, FeatureEffect] = {}
-    for feature, row in data.get("feature_effects", {}).items():
+    for feature, row in expect(data.get("feature_effects", {}), dict, "feature_effects").items():
         if feature not in FEATURES:
             raise ValueError(f"unknown feature {feature!r} in risk model")
         if not isinstance(row, dict):

@@ -1,18 +1,17 @@
 """Per-workflow size and feature-usage metrics.
 
-Ratios are exact rationals internally; serialization rounds to four
-fractional digits.
+Each ratio is one ``int / int`` division, correctly rounded to a float;
+serialization rounds to four fractional digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .abstraction import Construct, ConstructBag, render_construct
 from .catalog import FEATURES, Catalog, ConstructTally, ScanIndex, bag_rows, tally_constructs
 
-RATIO_CAP = Fraction(10)
+RATIO_CAP = 10.0
 SIZE_METRICS: tuple[str, ...] = ("n_paths", "n_constructs", "n_features", "path_construct_ratio")
 
 
@@ -21,9 +20,9 @@ class FeatureUsage:
     present: bool
     n_paths: int
     n_constructs_used: int
-    construct_coverage: Fraction
-    path_to_construct_ratio: Fraction | None
-    capped_ratio: Fraction | None
+    construct_coverage: float
+    path_to_construct_ratio: float | None
+    capped_ratio: float | None
     structural_only: bool
 
 
@@ -32,7 +31,7 @@ class WorkflowMetrics:
     n_paths: int
     n_constructs: int
     n_features: int
-    path_construct_ratio: Fraction
+    path_construct_ratio: float
     per_feature: dict[str, FeatureUsage]
     unknown_constructs: tuple[Construct, ...]
 
@@ -46,7 +45,7 @@ _ABSENT = FeatureUsage(
     present=False,
     n_paths=0,
     n_constructs_used=0,
-    construct_coverage=Fraction(0),
+    construct_coverage=0.0,
     path_to_construct_ratio=None,
     capped_ratio=None,
     structural_only=False,
@@ -74,13 +73,13 @@ def metrics_from_tally(tally: ConstructTally, bag: ConstructBag, index: ScanInde
             per_feature[feature] = _ABSENT
             continue
         n_paths, used, informative = sums
-        ratio = Fraction(n_paths, used)
+        ratio = n_paths / used
         present = n_paths > 0
         per_feature[feature] = FeatureUsage(
             present=present,
             n_paths=n_paths,
             n_constructs_used=used,
-            construct_coverage=Fraction(used, index.feature_sizes[feature]),
+            construct_coverage=used / index.feature_sizes[feature],
             path_to_construct_ratio=ratio,
             capped_ratio=min(ratio, RATIO_CAP),
             structural_only=present and informative == 0,
@@ -91,17 +90,17 @@ def metrics_from_tally(tally: ConstructTally, bag: ConstructBag, index: ScanInde
         n_paths=bag.total_paths,
         n_constructs=bag.distinct(),
         n_features=n_features,
-        path_construct_ratio=Fraction(bag.total_paths, bag.distinct()),
+        path_construct_ratio=bag.total_paths / bag.distinct(),
         per_feature=per_feature,
         unknown_constructs=tally.unknown,
     )
 
 
-def round4(value: Fraction | float | None) -> float | None:
+def round4(value: float | None) -> float | None:
     """Serialization rounding: four fractional digits."""
     if value is None:
         return None
-    return round(float(value), 4)
+    return round(value, 4)
 
 
 def _usage_to_dict(usage: FeatureUsage) -> dict:

@@ -413,10 +413,7 @@ def regress_sizes(
     return _regression_rows(tables, metrics, min_runs)
 
 
-def features_in_band(
-    presence: dict[str, dict[str, bool]],
-    band: tuple[float, float] = USAGE_BAND,
-) -> list[str]:
+def features_in_band(presence: dict[str, dict[str, bool]]) -> list[str]:
     """Features whose usage rate lies inside [5%, 95%] of the workflows."""
     out = []
     for feature in sorted(presence):
@@ -424,9 +421,13 @@ def features_in_band(
         if not rows:
             continue
         rate = sum(1 for v in rows.values() if v) / len(rows)
-        if band[0] <= rate <= band[1]:
+        if USAGE_BAND[0] <= rate <= USAGE_BAND[1]:
             out.append(feature)
     return out
+
+
+class UsageBandError(ValueError):
+    """Features were requested that lie outside the usage band."""
 
 
 def regress_features(
@@ -439,7 +440,7 @@ def regress_features(
     """Per-feature univariate regressions: presence and per-feature paths.
 
     Features outside the 5%-95% usage band are excluded; requesting one
-    raises an error naming the band rule.  BH spans all reported slopes.
+    raises :class:`UsageBandError`.  BH spans all reported slopes.
     """
     band = features_in_band(presence)
     if features is None:
@@ -447,7 +448,7 @@ def regress_features(
     else:
         outside = [f for f in features if f not in band]
         if outside:
-            raise ValueError(
+            raise UsageBandError(
                 f"features outside the {USAGE_BAND[0]:.0%}-{USAGE_BAND[1]:.0%} usage band: "
                 + ", ".join(sorted(outside))
             )

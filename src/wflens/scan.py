@@ -181,11 +181,9 @@ def scan_file(path: str | Path, catalog: Catalog | None = None) -> ScanResult:
     return scan_text(text, file, catalog)
 
 
-def scan_record(result: ScanResult, workflow_id: str | None = None) -> dict:
+def scan_record(result: ScanResult) -> dict:
     """The JSON record for one scanned file."""
     record: dict = {"file": result.file, "valid": result.valid}
-    if workflow_id is not None:
-        record["workflow_id"] = workflow_id
     if result.error is not None:
         record["error"] = {
             "message": result.error.message,

@@ -3,9 +3,10 @@
 Both fitters run iteratively reweighted least squares with step halving so
 the log-likelihood trace is nondecreasing.  The negative binomial uses the
 NB2 parameterization (variance mu + mu^2/theta) with a log link, alternating
-the IRLS beta step with a bracketed root solve of the dispersion score.
-Counts are whole numbers, so the NB gamma terms are exact finite sums over
-the tail counts T[k] = #{i : y_i > k}; no special function is needed.
+the IRLS beta step with a safeguarded Newton solve of the dispersion score.
+Counts are whole numbers, so the NB gamma terms and the score and its slope
+are exact finite sums over the tail counts T[k] = #{i : y_i > k}; no special
+function is needed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ TOL = 1e-8
 _ETA_CLIP = 30.0
 _THETA_LO = 1e-4
 _THETA_HI = 1e7
-_RTOL_MIN = 4 * np.finfo(float).eps
 
 
 def _as_design(design) -> np.ndarray:
@@ -168,9 +168,9 @@ class _Counts:
     """Whole-number counts with their tail counts T[k] = #{i : y_i > k}.
 
     Over whole numbers lgamma(y+theta) - lgamma(theta) is the finite sum of
-    log(theta+k) for k < y, so summed over the observations each NB gamma
-    and digamma term is a dot product with T: exact, and free of the
-    cancellation between two large lgamma values near the theta cap.
+    log(theta+k) for k < y, so summed over the observations each NB gamma,
+    digamma and trigamma term is a dot product with T: exact, and free of
+    the cancellation between two large lgamma values near the theta cap.
     """
 
     def __init__(self, counts):
@@ -192,6 +192,10 @@ class _Counts:
     def digamma_terms(self, theta: float) -> float:
         """sum digamma(y+theta) - n*digamma(theta)."""
         return float(self.tails @ (1.0 / (theta + self.k)))
+
+    def trigamma_terms(self, theta: float) -> float:
+        """n*trigamma(theta) - sum trigamma(y+theta)."""
+        return float(self.tails @ (1.0 / (theta + self.k) ** 2))
 
 
 def _negbin_ll(x: np.ndarray, counts: _Counts, beta: np.ndarray, theta: float) -> float:
@@ -233,122 +237,46 @@ def _theta_score(theta: float, counts: _Counts, mu: np.ndarray) -> float:
     )
 
 
-# _brentq is a port of scipy/optimize/Zeros/brentq.c, used under this licence:
-#
-# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
-# All rights reserved.
-#
-# Redistribution and use in source and binary forms, with or without
-# modification, are permitted provided that the following conditions
-# are met:
-#
-# 1. Redistributions of source code must retain the above copyright
-#    notice, this list of conditions and the following disclaimer.
-#
-# 2. Redistributions in binary form must reproduce the above
-#    copyright notice, this list of conditions and the following
-#    disclaimer in the documentation and/or other materials provided
-#    with the distribution.
-#
-# 3. Neither the name of the copyright holder nor the names of its
-#    contributors may be used to endorse or promote products derived
-#    from this software without specific prior written permission.
-#
-# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
-# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
-# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
-# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
-# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
-# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
-# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
-# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
-# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
-# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
-# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
-def _brentq(
-    f, xa: float, xb: float, args=(), xtol: float = 2e-12, rtol: float = _RTOL_MIN, maxiter: int = 100
-) -> float:
-    """Root of f in [xa, xb] by Brent's method.
+def _theta_slope(theta: float, counts: _Counts, mu: np.ndarray) -> float:
+    """d/dtheta of :func:`_theta_score`."""
+    rest = float(np.sum(mu / (theta * (theta + mu)) - (mu - counts.y) / (theta + mu) ** 2))
+    return rest - counts.trigamma_terms(theta)
 
-    Takes the same steps, tolerances and errors as ``scipy.optimize.brentq``:
-    a ValueError when f(xa) and f(xb) share a sign or f returns NaN, a
-    RuntimeError after ``maxiter`` iterations without convergence.
+
+def _update_theta(counts: _Counts, mu: np.ndarray, theta: float) -> tuple[float, str | None]:
+    """The dispersion that zeroes its score: Newton steps in u = log(theta) from ``theta``.
+
+    Each score evaluation narrows a bracket of the root by its sign; a step
+    that would leave it, or a slope that is not negative, bisects it.  The
+    solve stops at a step or bracket below 1e-12 in u, or after MAX_ITER steps.
     """
-    if maxiter < 0:
-        raise ValueError("maxiter must be >= 0")
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _RTOL_MIN:
-        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL_MIN:g})")
-
-    def call(x: float) -> float:
-        value = f(x, *args)
-        if math.isnan(value):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return value
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
+    if _theta_score(_THETA_HI, counts, mu) > 0:  # likelihood still rising at the cap
+        return _THETA_HI, "dispersion at upper bound (data near-Poisson)"
+    if _theta_score(_THETA_LO, counts, mu) < 0:
+        return _THETA_LO, "dispersion at lower bound (extreme overdispersion)"
+    lo, hi, u = math.log(_THETA_LO), math.log(_THETA_HI), math.log(theta)
+    for _ in range(MAX_ITER):
+        theta = math.exp(u)
+        score = _theta_score(theta, counts, mu)
+        if score > 0:
+            lo = u
         else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
-def _update_theta(counts: _Counts, mu: np.ndarray) -> tuple[float, str | None]:
-    lo, hi = _THETA_LO, _THETA_HI
-    s_lo = _theta_score(lo, counts, mu)
-    s_hi = _theta_score(hi, counts, mu)
-    if s_hi > 0:  # likelihood still rising at the cap: essentially Poisson
-        return hi, "dispersion at upper bound (data near-Poisson)"
-    if s_lo < 0:
-        return lo, "dispersion at lower bound (extreme overdispersion)"
-    return _brentq(_theta_score, lo, hi, args=(counts, mu), xtol=1e-10, rtol=1e-12), None
+            hi = u
+        slope = theta * _theta_slope(theta, counts, mu)  # dscore/du
+        step = -score / slope if slope < 0 else math.inf
+        if not lo <= u + step <= hi:
+            step = (lo + hi) / 2 - u
+        u += step
+        if abs(step) < 1e-12 or hi - lo < 1e-12:
+            break
+    return math.exp(u), None
 
 
 def fit_negative_binomial(design, counts, *, terms=None) -> GlmFit:
     """Negative binomial (NB2) regression with a log link.
 
-    Alternates an IRLS step for the coefficients with a maximum-likelihood
-    update of the dispersion found by bracketed root solving of its score.
+    Alternates an IRLS step for the coefficients with a safeguarded Newton
+    solve of the dispersion score, started from the previous dispersion.
     Counts must be whole numbers; the cost of each likelihood or score
     evaluation grows with the largest count.
     """
@@ -389,7 +317,7 @@ def fit_negative_binomial(design, counts, *, terms=None) -> GlmFit:
         beta = beta + step
 
         mu = np.exp(np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP))
-        theta_new, note = _update_theta(counts, mu)
+        theta_new, note = _update_theta(counts, mu, theta)
         theta_change = abs(math.log(theta_new) - math.log(theta))
         theta = theta_new
         trace.append(_negbin_ll(x, counts, beta, theta))
@@ -419,11 +347,20 @@ def fit_negative_binomial(design, counts, *, terms=None) -> GlmFit:
     )
 
 
+def _exp(x: float) -> float:
+    """math.exp, with inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def effect_table(fit: GlmFit) -> EffectTable:
     """Per-term ratio scale: exp(beta), 95% Wald CI, two-sided Wald p.
 
     For the logistic family the ratios are odds ratios; for the negative
-    binomial they are incidence rate ratios.
+    binomial they are incidence rate ratios.  A ratio or bound past the
+    float range is inf.
     """
     if not fit.converged:
         raise ValueError("effect_table requires a converged fit")
@@ -434,9 +371,9 @@ def effect_table(fit: GlmFit) -> EffectTable:
         rows.append(
             EffectRow(
                 term=name,
-                ratio=math.exp(coef),
-                ci_low=math.exp(coef - half),
-                ci_high=math.exp(coef + half),
+                ratio=_exp(coef),
+                ci_low=_exp(coef - half),
+                ci_high=_exp(coef + half),
                 p_value=p,
             )
         )

@@ -558,6 +558,22 @@ def test_sizes_too_far_apart_for_a_fit_exit_2(tmp_path, clienv, capsys):
     assert "Error: design matrix is rank deficient" in capsys.readouterr().err
 
 
+def test_feature_paths_too_far_apart_exit_2_and_the_band_rule_stays_a_usage_error(tmp_path, clienv, capsys):
+    records = [json.loads(line) for line in open(clienv["sizes"], encoding="utf-8")]
+    used = next(r for r in records if r["features"]["commands"]["present"])
+    used["features"]["commands"]["n_paths"] = 1e20
+    for r in records[:2]:  # a feature too rare for the 5%-95% usage band
+        r["features"]["deployment"] = {"present": True, "structural_only": False, "n_paths": 1}
+    sizes = tmp_path / "sizes.jsonl"
+    sizes.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    args = ["reliability", "regress", "--analysis", "features", "--runs", clienv["runs"], "--sizes", str(sizes),
+            "--window", "2023-01-01..2023-12-31"]
+    assert run_main(args) == 2
+    assert "Error: design matrix is rank deficient" in capsys.readouterr().err
+    assert run_main([*args, "--features", "deployment"]) == 64
+    assert "usage band: deployment" in capsys.readouterr().err
+
+
 def doubling_anchors(lines):
     """Each line is a two-item list of aliases to the line before: paths double per line."""
     out = ["a0: &a0 [x, x]"]

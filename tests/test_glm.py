@@ -152,6 +152,15 @@ def test_effect_table_ci_hand_value():
     assert row.p_value == pytest.approx(1.0)
 
 
+def test_effect_table_ratios_past_the_float_range_are_infinite():
+    fit = fit_binomial_logistic(np.column_stack([np.ones(3), [1.0, 0.0, 1.0]]), [0, 0, 0], [3, 3, 3])
+    assert fit.converged  # held at the linear-predictor clip, with a vast standard error
+    row = effect_table(fit)[1]
+    assert row.ci_low == 0.0
+    assert row.ci_high == math.inf
+    assert row.p_value == pytest.approx(1.0)
+
+
 def test_logistic_matches_balanced_proportions():
     # Intercept-only model: fitted probability equals the pooled proportion.
     design = np.ones((3, 1))
@@ -241,102 +250,78 @@ def test_tail_counts_of_all_zero_counts_are_empty():
     assert tails.tails.size == 0
     assert tails.log_gamma_terms(2.5) == 0.0
     assert tails.digamma_terms(2.5) == 0.0
-
-
-def _theta_score_case():
-    rng = np.random.default_rng(31)
-    mu = np.exp(0.4 + 0.6 * rng.uniform(0, 1, size=500))
-    y = rng.negative_binomial(1.2, 1.2 / (1.2 + mu))
-    return glm._Counts(y), mu
-
-
-BRACKETED = [
-    (lambda x: x * x - 2.0, 0.0, 2.0),
-    (lambda x: math.cos(x) - x, 0.0, 1.0),
-    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
-    (lambda x: math.exp(x) - 10.0, 0.0, 5.0),
-    (lambda x: (x - 1.0) ** 3, 0.0, 3.0),
-    (lambda x: math.atan(x - 0.3), -50.0, 1e6),
-    (lambda x: 1.0 if x > 0.7 else -1.0, 0.0, 1.0),
-    (lambda x: x, -1.0, 0.0),  # a root at an end point
-]
-
-
-def _solve(solver, f, a, b, **kwargs):
-    """The root or the (type, message) of the error, and every x tried."""
-    calls = []
-
-    def spy(x):
-        calls.append(x)
-        return f(x)
-
-    try:
-        return float(solver(spy, a, b, **kwargs)), calls
-    except (ValueError, RuntimeError) as exc:
-        return (type(exc), str(exc)), calls
-
-
-@pytest.mark.parametrize("case", range(len(BRACKETED)))
-def test_brentq_matches_scipy_on_textbook_functions(case):
-    from scipy.optimize import brentq
-
-    f, a, b = BRACKETED[case]
-    for xtol, rtol in ((2e-12, glm._RTOL_MIN), (1e-10, 1e-12), (1e-3, 1e-6)):
-        ours, our_calls = _solve(glm._brentq, f, a, b, xtol=xtol, rtol=rtol)
-        theirs, their_calls = _solve(brentq, f, a, b, xtol=xtol, rtol=rtol)
-        if isinstance(theirs, float):
-            assert abs(ours - theirs) <= xtol
-        assert ours == theirs  # same steps, same root or the same error
-        assert our_calls == their_calls
+    assert tails.trigamma_terms(2.5) == 0.0
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
-    st.floats(-4.0, 0.0),
-    st.floats(0.0, 4.0),
-    st.sampled_from([(2e-12, glm._RTOL_MIN), (1e-10, 1e-12), (1e-4, 1e-8)]),
-)
-def test_brentq_matches_scipy_on_random_polynomials(roots, a, b, tolerances):
+@given(counts_strategy, theta_strategy)
+def test_trigamma_tail_sums_match_polygamma(counts, theta):
+    from scipy.special import polygamma
+
+    y = np.asarray(counts, dtype=float)
+    expected = y.size * polygamma(1, theta) - np.sum(polygamma(1, y + theta))
+    scale = y.size * polygamma(1, theta) + np.sum(polygamma(1, y + theta))
+    assert glm._Counts(y).trigamma_terms(theta) == pytest.approx(expected, rel=1e-9, abs=1e-12 * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts_strategy, theta_strategy, st.floats(-2.0, 2.0))
+def test_theta_slope_matches_central_difference(counts, theta, slope):
+    y = np.asarray(counts, dtype=float)
+    mu = np.exp(1.0 + slope * np.linspace(0.0, 1.0, y.size))
+    tails = glm._Counts(y)
+    h = 1e-4  # in log(theta), where the score is smooth on every scale
+    ahead = glm._theta_score(theta * math.exp(h), tails, mu)
+    behind = glm._theta_score(theta * math.exp(-h), tails, mu)
+    # rounding of the score's parts, magnified by 1/h, bounds the difference's accuracy
+    parts = tails.digamma_terms(theta) + np.sum(
+        abs(np.log(theta)) + 1.0 + np.abs(np.log(theta + mu)) + (y + theta) / (theta + mu)
+    )
+    assert theta * glm._theta_slope(theta, tails, mu) == pytest.approx(
+        (ahead - behind) / (2 * h), rel=1e-6, abs=1e-12 * parts / h
+    )
+
+
+def _profile_ll(tails: glm._Counts, mu: np.ndarray, theta: float) -> float:
+    """The NB log-likelihood at fixed means, as a function of the dispersion."""
+    return glm._negbin_ll(np.log(mu)[:, None], tails, np.ones(1), theta)
+
+
+_CASE_RNG = np.random.default_rng(31)
+_CASE_LOG_MU = 0.4 + 0.6 * _CASE_RNG.uniform(0, 1, size=500)
+_CASE_Y = _CASE_RNG.negative_binomial(1.2, 1.2 / (1.2 + np.exp(_CASE_LOG_MU)))
+observations = st.lists(st.tuples(st.integers(0, 500), st.floats(-3.0, 6.0)), min_size=1, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(observations)
+@example(list(zip(_CASE_Y.tolist(), _CASE_LOG_MU.tolist())))
+@example([(0, 0.0), (3, 0.0)])  # a root inside the range
+@example([(1, 0.0)])  # near-Poisson: the upper cap
+@example([(0, 6.0), (0, 6.0)])  # the lower cap
+def test_update_theta_finds_the_profile_maximum(obs):
     from scipy.optimize import brentq
 
-    def f(x):
-        return math.prod(x - r for r in roots) + 0.1 * math.sin(3.0 * x)
-
-    xtol, rtol = tolerances
-    ours = _solve(glm._brentq, f, a, b, xtol=xtol, rtol=rtol)
-    assert ours == _solve(brentq, f, a, b, xtol=xtol, rtol=rtol)
-
-
-def test_brentq_matches_scipy_on_theta_score():
-    from scipy.optimize import brentq
-
-    counts, mu = _theta_score_case()
-    args = (counts, mu)
-    ours = glm._brentq(glm._theta_score, 1e-4, 1e7, args=args, xtol=1e-10, rtol=1e-12)
-    theirs = brentq(glm._theta_score, 1e-4, 1e7, args=args, xtol=1e-10, rtol=1e-12)
-    assert abs(ours - theirs) <= 1e-10
-    assert abs(glm._theta_score(ours, *args)) < 1e-6
-
-
-@pytest.mark.parametrize(
-    "f, a, b, kwargs",
-    [
-        (lambda x: x * x + 1.0, -1.0, 1.0, {}),  # no sign change
-        (lambda x: x - 5.0, 0.0, 1.0, {}),  # no sign change
-        (lambda x: float("nan"), 0.0, 1.0, {}),
-        (lambda x: x**3 - 2.0, 0.0, 2.0, {"maxiter": 2}),
-        (lambda x: x**3 - 2.0, 0.0, 2.0, {"maxiter": -1}),
-        (lambda x: x, -1.0, 2.0, {"xtol": 0.0}),
-        (lambda x: x, -1.0, 2.0, {"rtol": 1e-17}),
-    ],
-)
-def test_brentq_raises_like_scipy(f, a, b, kwargs):
-    from scipy.optimize import brentq
-
-    theirs, _ = _solve(brentq, f, a, b, **kwargs)
-    assert isinstance(theirs, tuple)
-    assert _solve(glm._brentq, f, a, b, **kwargs)[0] == theirs
+    y = np.array([c for c, _ in obs], dtype=float)
+    mu = np.exp([m for _, m in obs])
+    tails = glm._Counts(y)
+    lo, hi = glm._THETA_LO, glm._THETA_HI
+    s_lo, s_hi = glm._theta_score(lo, tails, mu), glm._theta_score(hi, tails, mu)
+    if s_hi > 0:
+        reference = hi
+    elif s_lo < 0:
+        reference = lo
+    else:
+        # to full precision, which the solver's own stopping rule must match
+        reference = brentq(glm._theta_score, lo, hi, args=(tails, mu), xtol=1e-300, rtol=1e-15, maxiter=500)
+    for start in (lo, 1.0, hi):
+        theta, note = glm._update_theta(tails, mu, start)
+        assert lo <= theta <= hi
+        assert (note is None) == (lo < reference < hi)
+        ours, theirs = _profile_ll(tails, mu, theta), _profile_ll(tails, mu, reference)
+        assert ours >= theirs - 1e-9
+        if theirs > ours:
+            assert theta == pytest.approx(reference, rel=1e-8)
 
 
 @pytest.mark.parametrize("bad", [[1, 2.5, 3], [1, float("nan"), 3], [1, float("inf"), 3]])

@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wflens
 from wflens.metrics import RATIO_CAP, SIZE_METRICS, metrics_to_dict, round4
+from wflens.model import MAX_PATHS
 
 # Hand-tallied per-feature usage for the two-job matrix workflow:
 # (paths, constructs used, structural_only).
@@ -27,7 +30,7 @@ def test_node_ci_sizes(node_ci_metrics):
     assert m.n_paths == 26
     assert m.n_constructs == 19
     assert m.n_features == 9
-    assert m.path_construct_ratio == Fraction(26, 19)
+    assert m.path_construct_ratio == 26 / 19
     assert round4(m.path_construct_ratio) == 1.3684
     assert m.unknown_constructs == ()
 
@@ -54,14 +57,23 @@ def test_feature_path_totals_cover_all_paths(node_ci_metrics):
 
 def test_permissions_coverage(node_ci_metrics):
     usage = node_ci_metrics.per_feature["permissions"]
-    assert usage.construct_coverage == Fraction(2, 30)
+    assert usage.construct_coverage == 2 / 30
     assert round4(usage.construct_coverage) == 0.0667
 
 
-def test_ratios_are_exact_fractions(node_ci_metrics):
+def test_ratios_are_quotients(node_ci_metrics):
     usage = node_ci_metrics.per_feature["step_orchestration"]
-    assert usage.path_to_construct_ratio == Fraction(5, 2)
-    assert usage.capped_ratio == Fraction(5, 2)
+    assert usage.path_to_construct_ratio == 2.5
+    assert usage.capped_ratio == 2.5
+
+
+@settings(max_examples=500)
+@given(st.integers(0, MAX_PATHS), st.integers(1, MAX_PATHS))
+def test_quotients_round_like_exact_fractions(numerator, denominator):
+    exact = Fraction(numerator, denominator)
+    assert numerator / denominator == float(exact)
+    assert min(numerator / denominator, RATIO_CAP) == float(min(exact, Fraction(10)))
+    assert round4(numerator / denominator) == round(float(exact), 4)
 
 
 def _bag_of(path_texts: list[str]):
@@ -72,15 +84,15 @@ def _bag_of(path_texts: list[str]):
 def test_repetition_ratio(catalog):
     bag = _bag_of([f"jobs.a.steps[{i}].uses" for i in range(5)])
     usage = wflens.workflow_metrics(bag, catalog).per_feature["action_reuse"]
-    assert usage.path_to_construct_ratio == Fraction(5)
-    assert usage.construct_coverage == Fraction(1, 3)
+    assert usage.path_to_construct_ratio == 5.0
+    assert usage.construct_coverage == 1 / 3
 
 
 def test_ratio_cap(catalog):
     bag = _bag_of([f"jobs.a.steps[{i}].uses" for i in range(25)])
     usage = wflens.workflow_metrics(bag, catalog).per_feature["action_reuse"]
-    assert usage.path_to_construct_ratio == Fraction(25)
-    assert usage.capped_ratio == RATIO_CAP == Fraction(10)
+    assert usage.path_to_construct_ratio == 25.0
+    assert usage.capped_ratio == RATIO_CAP == 10.0
 
 
 def test_unknown_constructs_count_toward_sizes(catalog):
@@ -127,5 +139,5 @@ def test_metrics_to_dict_serializes_all_features(node_ci_metrics):
 
 def test_round4():
     assert round4(None) is None
-    assert round4(Fraction(26, 19)) == 1.3684
-    assert round4(Fraction(1, 3)) == 0.3333
+    assert round4(26 / 19) == 1.3684
+    assert round4(1 / 3) == 0.3333
