@@ -519,9 +519,8 @@ def reliability_metrics_cmd(runs_path: str, window_text: str, fmt: str) -> None:
     rows = [_metrics_row(m) for m in _all_metrics(records, window)]
     if fmt == "json":
         _emit_json(rows)
-    else:
-        for row in rows:
-            click.echo(json.dumps(row, sort_keys=True))
+    elif rows:
+        click.echo("\n".join(json.dumps(row, sort_keys=True) for row in rows))
 
 
 @reliability_group.command("compare")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import json.scanner
 from collections.abc import Iterator
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,6 +34,11 @@ def expect(value, kind: type, what: str):
     return value
 
 
+# json.loads minus its per-call wrapper: a stripped line starts and ends on a
+# value, so the scanner at index 0 decodes what json.loads would.
+_scan_value = json.scanner.make_scanner(json.JSONDecoder())
+
+
 def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, object]]:
     """The line number and decoded JSON value of each non-blank line.
 
@@ -46,7 +52,12 @@ def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, object]]:
             if not line:
                 continue
             try:
-                value = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
+                value, end = _scan_value(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(line):  # not one whole value: json.loads names the fault
+                try:
+                    value = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
             yield lineno, value

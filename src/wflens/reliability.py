@@ -12,7 +12,10 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +41,9 @@ MIN_RUNS = 3
 USAGE_BAND = (0.05, 0.95)
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
+    """One run; a tuple, so it compares and sorts field by field."""
+
     workflow_id: str
     commit_sha: str
     committed_at: datetime
@@ -61,15 +65,15 @@ def load_run_records(path: str | Path) -> list[RunRecord]:
                 conclusion = "other"
             records.append(
                 RunRecord(
-                    workflow_id=str(row["workflow_id"]),
-                    commit_sha=str(row["commit_sha"]),
-                    committed_at=parse_instant(row["committed_at"]),
-                    conclusion=conclusion,
+                    str(row["workflow_id"]),
+                    str(row["commit_sha"]),
+                    parse_instant(row["committed_at"]),
+                    conclusion,
                 )
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: malformed run record: {exc}") from exc
-    records.sort(key=lambda r: (r.workflow_id, r.committed_at))
+    records.sort(key=itemgetter(0, 2))  # (workflow_id, committed_at)
     return records
 
 
@@ -149,43 +153,40 @@ def reliability_metrics(
     if not records:
         raise ValueError("no run records supplied")
     workflow_id = records[0].workflow_id
-    if any(r.workflow_id != workflow_id for r in records):
-        raise ValueError("records of multiple workflows passed to reliability_metrics")
+    for r in records:
+        if r.workflow_id != workflow_id:
+            raise ValueError("records of multiple workflows passed to reliability_metrics")
 
-    in_window = sorted(
-        (r for r in records if start <= r.committed_at <= end), key=lambda r: r.committed_at
-    )
-    counted = [r for r in in_window if r.conclusion in ("success", "failure")]
+    # stable, and linear on the time-sorted runs that load_run_records gives
+    in_window = sorted([r for r in records if start <= r.committed_at <= end], key=itemgetter(2))
     n_commits = len({r.commit_sha for r in in_window})
-    failures = sum(1 for r in counted if r.conclusion == "failure")
+    counted = [r for r in in_window if r.conclusion in ("success", "failure")]
+    failed = [r.conclusion == "failure" for r in counted]
+    failures = failed.count(True)
 
     failure_rate = failures / len(counted) if counted else None
 
     ttr: timedelta | None = None
-    first_failure = next((r for r in counted if r.conclusion == "failure"), None)
-    if first_failure is not None:
-        recovered = next(
-            (
-                r
-                for r in counted
-                if r.conclusion == "success" and r.committed_at > first_failure.committed_at
-            ),
-            None,
-        )
-        if recovered is not None:
-            ttr = recovered.committed_at - first_failure.committed_at
+    if failures:
+        # counted is time-sorted: no run before the first failure is later than it
+        first = failed.index(True)
+        broke = counted[first].committed_at
+        for run in counted[first + 1 :]:
+            if run.conclusion == "success" and run.committed_at > broke:
+                ttr = run.committed_at - broke
+                break
 
     availability: float | None = None
     if counted:
         failed_time = timedelta(0)
-        state = counted[0].conclusion  # backfill before the first counted run
+        state = failed[0]  # backfill before the first counted run
         cursor = start
-        for run in counted:
-            if state == "failure":
+        for run, run_failed in zip(counted, failed):
+            if state:
                 failed_time += run.committed_at - cursor
             cursor = run.committed_at
-            state = run.conclusion
-        if state == "failure":
+            state = run_failed
+        if state:
             failed_time += end - cursor
         availability = 1.0 - failed_time / (end - start)
 
@@ -201,10 +202,9 @@ def reliability_metrics(
 
 
 def group_records(records: list[RunRecord]) -> dict[str, list[RunRecord]]:
-    groups: dict[str, list[RunRecord]] = {}
-    for record in records:
-        groups.setdefault(record.workflow_id, []).append(record)
-    return groups
+    """Each workflow's records in input order, keyed by workflow id in sorted order."""
+    by_workflow = itemgetter(0)
+    return {w: list(g) for w, g in groupby(sorted(records, key=by_workflow), key=by_workflow)}
 
 
 @dataclass(frozen=True)

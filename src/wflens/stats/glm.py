@@ -89,8 +89,9 @@ def fit_binomial_logistic(design, successes, trials, *, terms=None) -> GlmFit:
     """Logistic regression on aggregated binomial observations.
 
     Converges when the largest coefficient update falls below 1e-8 within
-    100 iterations; otherwise ``converged`` is false and the diagnostic
-    names the likely cause (such as complete separation).
+    100 iterations and no fitted linear predictor reaches the clip at
+    +-30; otherwise ``converged`` is false and the diagnostic names the
+    likely cause (such as complete separation).
     """
     x = _as_design(design)
     s = np.asarray(successes, dtype=float)
@@ -130,9 +131,12 @@ def fit_binomial_logistic(design, successes, trials, *, terms=None) -> GlmFit:
             converged = True
             break
 
+    # a predictor held at the clip stops the steps short of a finite optimum
+    clipped = np.max(np.abs(x @ beta)) >= _ETA_CLIP
+    converged = converged and not clipped
     diagnostic = None
     if not converged:
-        if np.max(np.abs(beta)) > 25.0:
+        if clipped or np.max(np.abs(beta)) > 25.0:
             diagnostic = "no convergence: coefficients diverging, possible complete separation"
         else:
             diagnostic = f"no convergence after {iterations} iterations"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import combinations
 
 import numpy as np
@@ -92,18 +92,18 @@ def cliffs_delta(x, y) -> EffectSize:
     """Cliff's delta: P(x > y) - P(x < y) over all cross pairs.
 
     Counted via binary search in the sorted second sample, O((n+m) log m);
-    equal to the O(nm) pair count.
+    equal to the O(nm) pair count.  A NaN in either sample, which orders
+    against nothing, raises :class:`ValueError`.
     """
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
     if a.size == 0 or b.size == 0:
         raise ValueError("cliffs_delta requires two non-empty samples")
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("cliffs_delta requires samples without NaN")
     sb = np.sort(b)
-    greater = 0
-    less = 0
-    for value in a:
-        greater += bisect_left(sb, value)
-        less += sb.size - bisect_right(sb, value)
+    greater = int(np.searchsorted(sb, a, side="left").sum())
+    less = int(b.size * a.size - np.searchsorted(sb, a, side="right").sum())
     delta = (greater - less) / (a.size * b.size)
     # bisect_right puts a |delta| equal to a bound into the level above it
     level = bisect_right(_MAGNITUDE_LEVELS, abs(delta))

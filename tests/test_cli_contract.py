@@ -280,3 +280,19 @@ def test_out_of_range_window_keeps_the_contract(workdir):
         main(["reliability", "metrics", "--runs", "runs.jsonl",
               "--window", "0001-01-01T00:00:00+05:00..2023-12-31"])
     assert exit_info.value.code == 64
+
+
+def test_a_fit_held_at_the_clip_gives_no_row(workdir, capsys):
+    """With no failure in any run, the failure-odds fits diverge and are dropped; stdout stays JSON."""
+    (workdir / "runs.jsonl").write_text(THREE_WORKFLOWS.replace("failure", "success"), encoding="utf-8")
+    sizes = pair_sizes(usage(True, 1), usage(False, 0), usage(True, 2))
+    (workdir / "sizes.jsonl").write_text(sizes, encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_info:
+        main(COMMANDS["reliability-regress-features"])
+    assert exit_info.value.code == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    rows = json.loads(capsys.readouterr().out, parse_constant=reject)["rows"]
+    assert [(r["analysis"], r["outcome"]) for r in rows] == [("presence", "n_commits"), ("per_path", "n_commits")]

@@ -152,9 +152,22 @@ def test_effect_table_ci_hand_value():
     assert row.p_value == pytest.approx(1.0)
 
 
-def test_effect_table_ratios_past_the_float_range_are_infinite():
+def test_logistic_fit_held_at_the_clip_is_not_converged():
+    # No failure anywhere: the odds run off to zero and the steps stop at the clip.
     fit = fit_binomial_logistic(np.column_stack([np.ones(3), [1.0, 0.0, 1.0]]), [0, 0, 0], [3, 3, 3])
-    assert fit.converged  # held at the linear-predictor clip, with a vast standard error
+    assert not fit.converged
+    assert "separation" in fit.diagnostic
+    with pytest.raises(ValueError, match="converged"):
+        effect_table(fit)
+
+
+def test_effect_table_ratios_past_the_float_range_are_infinite():
+    # the estimates of the fit above, had it been reported as converged
+    fit = GlmFit(
+        family="binomial-logit", terms=("intercept", "x"), coefficients=np.array([-30.28, 0.0]),
+        standard_errors=np.array([1e6, 1.2e6]), dispersion=None, log_likelihood=-1.0, converged=True,
+        iterations=5,
+    )
     row = effect_table(fit)[1]
     assert row.ci_low == 0.0
     assert row.ci_high == math.inf

@@ -4,10 +4,14 @@ import logging
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wflens
 from wflens.reliability import (
+    CONCLUSIONS,
     OUTCOME_METRICS,
+    ReliabilityMetrics,
     RunRecord,
     features_in_band,
     group_records,
@@ -157,6 +161,93 @@ def test_loader_sorts_records():
     records = wflens.load_run_records(FIXTURES / "runs_semantics.jsonl")
     keys = [(r.workflow_id, r.committed_at) for r in records]
     assert keys == sorted(keys)
+
+
+def oracle_reliability_metrics(records, window):
+    """reliability_metrics as it was before the one-pass rewrite: the oracle."""
+    start, end = window
+    if end <= start:
+        raise ValueError("window end must be after its start")
+    if not records:
+        raise ValueError("no run records supplied")
+    workflow_id = records[0].workflow_id
+    if any(r.workflow_id != workflow_id for r in records):
+        raise ValueError("records of multiple workflows passed to reliability_metrics")
+    in_window = sorted(
+        (r for r in records if start <= r.committed_at <= end), key=lambda r: r.committed_at
+    )
+    counted = [r for r in in_window if r.conclusion in ("success", "failure")]
+    n_commits = len({r.commit_sha for r in in_window})
+    failures = sum(1 for r in counted if r.conclusion == "failure")
+    failure_rate = failures / len(counted) if counted else None
+    ttr = None
+    first_failure = next((r for r in counted if r.conclusion == "failure"), None)
+    if first_failure is not None:
+        recovered = next(
+            (r for r in counted
+             if r.conclusion == "success" and r.committed_at > first_failure.committed_at),
+            None,
+        )
+        if recovered is not None:
+            ttr = recovered.committed_at - first_failure.committed_at
+    availability = None
+    if counted:
+        failed_time = timedelta(0)
+        state = counted[0].conclusion
+        cursor = start
+        for run in counted:
+            if state == "failure":
+                failed_time += run.committed_at - cursor
+            cursor = run.committed_at
+            state = run.conclusion
+        if state == "failure":
+            failed_time += end - cursor
+        availability = 1.0 - failed_time / (end - start)
+    return ReliabilityMetrics(
+        workflow_id, len(counted), failures, n_commits, failure_rate, ttr, availability
+    )
+
+
+def oracle_group_records(records):
+    groups = {}
+    for record in records:
+        groups.setdefault(record.workflow_id, []).append(record)
+    return groups
+
+
+def outcome_of(function, *args):
+    try:
+        return repr(function(*args))
+    except ValueError as exc:
+        return repr(exc)
+
+
+# Few instants, so that runs tie; days -5 and 105 fall outside WINDOW_100.
+RUN_RECORDS = st.lists(
+    st.builds(
+        RunRecord,
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from(["x", "y", "z"]),
+        st.sampled_from([-5, 0, 1, 1.5, 30, 99.999, 100, 105]).map(day),
+        st.sampled_from(CONCLUSIONS),
+    ),
+    max_size=25,
+)
+WINDOWS = st.sampled_from([WINDOW_100, (day(1), day(30)), (day(5), day(5)), (day(40), day(2))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(RUN_RECORDS, WINDOWS)
+def test_metrics_and_grouping_match_the_oracle(records, window):
+    groups = group_records(records)
+    assert list(groups) == sorted(groups)
+    assert groups == oracle_group_records(records)
+    # each group, then unsorted, mixed-workflow and empty inputs: every field's
+    # repr (exact for the float availability and the timedelta ttr), or the error
+    for subset in (*groups.values(), records, records[::-1], records[:1]):
+        assert outcome_of(wflens.reliability_metrics, subset, window) == outcome_of(
+            oracle_reliability_metrics, subset, window
+        )
 
 
 # --------------------------------------------------------------- grouping

@@ -248,6 +248,22 @@ def test_delta_magnitude_thresholds(delta, magnitude):
     assert result.magnitude == magnitude
 
 
+TIE_HEAVY = st.lists(
+    st.integers(-3, 3).map(float) | st.sampled_from([math.inf, -math.inf, 0.5]), min_size=1, max_size=40
+)
+
+
+@given(TIE_HEAVY, TIE_HEAVY)
+def test_delta_equals_the_pair_count(x, y):
+    assert cliffs_delta(x, y).delta == delta_brute(x, y)
+
+
+def test_delta_rejects_nan():
+    for x, y in (([1.0, math.nan], [2.0]), ([1.0], [math.nan, 2.0])):
+        with pytest.raises(ValueError, match="NaN"):
+            cliffs_delta(x, y)
+
+
 def test_delta_antisymmetric():
     x = [1, 5, 3, 3]
     y = [2, 2, 4]
