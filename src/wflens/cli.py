@@ -129,6 +129,13 @@ def _parse_window(text: str) -> tuple[datetime, datetime]:
     return start, end
 
 
+def _check_alpha(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    # written so that nan fails too: every comparison with nan is false
+    if not 0.0 < value < 1.0:
+        raise click.BadParameter("must be strictly between 0 and 1")
+    return value
+
+
 def _num(value: float | None) -> float | None:
     return None if value is None else round(value, 6)
 
@@ -429,7 +436,7 @@ def corpus_evolve(
     show_default=True,
     help="Monthly aggregate fed to the trend test.",
 )
-@click.option("--alpha", type=float, default=0.05, show_default=True)
+@click.option("--alpha", type=float, default=0.05, show_default=True, callback=_check_alpha)
 def corpus_trend(
     manifest: str,
     start: str,
@@ -534,7 +541,7 @@ def reliability_metrics_cmd(runs_path: str, window_text: str, fmt: str) -> None:
     default=None,
     help="Show only this size metric's cells (tests still adjust jointly).",
 )
-@click.option("--alpha", type=float, default=0.01, show_default=True)
+@click.option("--alpha", type=float, default=0.01, show_default=True, callback=_check_alpha)
 def reliability_compare(
     runs_path: str, sizes_path: str, window_text: str, size_filter: str | None, alpha: float
 ) -> None:

@@ -1,12 +1,19 @@
 """Generalized linear models: binomial logistic and negative binomial.
 
-Both fitters run iteratively reweighted least squares with step halving so
-the log-likelihood trace is nondecreasing.  The negative binomial uses the
-NB2 parameterization (variance mu + mu^2/theta) with a log link, alternating
-the IRLS beta step with a safeguarded Newton solve of the dispersion score.
-Counts are whole numbers, so the NB gamma terms and the score and its slope
-are exact finite sums over the tail counts T[k] = #{i : y_i > k}; no special
-function is needed.
+Both fitters run one IRLS (iteratively reweighted least squares) driver,
+:func:`_irls`, on the linear predictor eta = X beta clipped at +-30.  It
+halves each step while the log-likelihood falls, judged per observation:
+from eta to eta + d each term changes by a*d - b*log1p(c*expm1(d)), with
+a=s, b=t, c=sigmoid(eta) for the logistic and a=y, b=y+theta,
+c=mu/(theta+mu) for the negative binomial.  A fit left with a predictor at
+the clip is not converged.  Both take their standard errors from the Fisher
+information X'WX.
+
+The negative binomial uses the NB2 parameterization (variance mu + mu^2/theta)
+with a log link; after each coefficient step the driver runs a safeguarded
+Newton solve of the dispersion score.  Counts are whole numbers, so the NB
+gamma terms and the score and its slope are exact finite sums over the tail
+counts T[k] = #{i : y_i > k}; no special function is needed.
 """
 
 from __future__ import annotations
@@ -45,6 +52,78 @@ def _term_names(terms, k: int) -> tuple[str, ...]:
     return names
 
 
+def _irls(x, beta, family, after_step=None) -> dict:
+    """IRLS from ``beta``; returns the :class:`GlmFit` fields both families share.
+
+    ``family(eta)`` gives the log-likelihood, weights, working response and
+    :func:`_gain` terms at the clipped predictor, and ``after_step(eta)``
+    updates any other parameter after each step and says whether it has
+    settled.  The fit converges at a step below TOL with that parameter
+    settled, within MAX_ITER iterations, and no predictor at the clip.
+    """
+    eta = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
+    ll, w, z, gain_terms = family(eta)
+    trace = [ll]
+    converged = False
+    iterations = 0
+    for iterations in range(1, MAX_ITER + 1):
+        xtw = x.T * w
+        try:
+            step = np.linalg.solve(xtw @ x, xtw @ z) - beta
+        except np.linalg.LinAlgError:
+            break
+        # step halving keeps the likelihood trace nondecreasing
+        while _gain(x, eta, step, *gain_terms) < -1e-12 and np.max(np.abs(step)) > 1e-14:
+            step *= 0.5
+        beta = beta + step
+        eta = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
+        settled = after_step is None or after_step(eta)
+        ll, w, z, gain_terms = family(eta)
+        trace.append(ll)
+        if np.max(np.abs(step)) < TOL and settled:
+            converged = True
+            break
+
+    # a predictor held at the clip stops the steps short of a finite optimum
+    clipped = np.max(np.abs(eta)) >= _ETA_CLIP
+    converged = converged and not clipped
+    diagnostic = None
+    if not converged:
+        if clipped or np.max(np.abs(beta)) > 25.0:
+            diagnostic = "no convergence: coefficients diverging, possible complete separation"
+        else:
+            diagnostic = f"no convergence after {iterations} iterations"
+    return dict(
+        coefficients=beta,
+        standard_errors=_standard_errors(x, w),
+        log_likelihood=trace[-1],
+        converged=converged,
+        iterations=iterations,
+        ll_trace=trace,
+        diagnostic=diagnostic,
+    )
+
+
+def _gain(x, eta, step, a, b, c) -> float:
+    """Log-likelihood change from the clipped predictor ``eta`` to that of beta + step.
+
+    Summed per observation, it stays accurate far below the rounding of the
+    total log-likelihood, as it is near convergence.
+    """
+    d = np.clip(eta + x @ step, -_ETA_CLIP, _ETA_CLIP) - eta
+    return float(np.sum(a * d - b * np.log1p(c * np.expm1(d))))
+
+
+def _standard_errors(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Square roots of the diagonal of the inverse Fisher information X'WX."""
+    info = (x.T * w) @ x
+    try:
+        cov = np.linalg.inv(info)
+        return np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    except np.linalg.LinAlgError:
+        return np.full(x.shape[1], np.nan)
+
+
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(eta, -_ETA_CLIP, _ETA_CLIP)))
 
@@ -57,8 +136,8 @@ def _log_binomial_coefficients(successes: np.ndarray, trials: np.ndarray) -> flo
     )
 
 
-def _logistic_ll(x, s, t, beta, log_coef: float) -> float:
-    mu = np.clip(_sigmoid(x @ beta), 1e-12, 1.0 - 1e-12)
+def _logistic_ll(mu, s, t, log_coef: float) -> float:
+    mu = np.clip(mu, 1e-12, 1.0 - 1e-12)
     return log_coef + float(np.sum(s * np.log(mu) + (t - s) * np.log(1.0 - mu)))
 
 
@@ -66,13 +145,8 @@ def logistic_log_likelihood(design, successes, trials, beta) -> float:
     """Binomial log-likelihood (including the binomial coefficient)."""
     s = np.asarray(successes, dtype=float)
     t = np.asarray(trials, dtype=float)
-    return _logistic_ll(
-        np.asarray(design, dtype=float),
-        s,
-        t,
-        np.asarray(beta, dtype=float),
-        _log_binomial_coefficients(s, t),
-    )
+    mu = _sigmoid(np.asarray(design, dtype=float) @ np.asarray(beta, dtype=float))
+    return _logistic_ll(mu, s, t, _log_binomial_coefficients(s, t))
 
 
 def logistic_score(design, successes, trials, beta) -> np.ndarray:
@@ -83,6 +157,13 @@ def logistic_score(design, successes, trials, beta) -> np.ndarray:
     b = np.asarray(beta, dtype=float)
     mu = _sigmoid(x @ b)
     return x.T @ (s - t * mu)
+
+
+def _logistic_family(eta, s, t, log_coef: float):
+    """Log-likelihood, IRLS weights, working response and :func:`_gain` terms at eta."""
+    mu = _sigmoid(eta)
+    w = np.maximum(t * mu * (1.0 - mu), 1e-12)
+    return _logistic_ll(mu, s, t, log_coef), w, eta + (s - t * mu) / w, (s, t, mu)
 
 
 def fit_binomial_logistic(design, successes, trials, *, terms=None) -> GlmFit:
@@ -101,71 +182,9 @@ def fit_binomial_logistic(design, successes, trials, *, terms=None) -> GlmFit:
     if np.any(t <= 0) or np.any(s < 0) or np.any(s > t):
         raise ValueError("need 0 <= successes <= trials and trials > 0")
     names = _term_names(terms, x.shape[1])
-
     log_coef = _log_binomial_coefficients(s, t)
-    beta = np.zeros(x.shape[1])
-    ll = _logistic_ll(x, s, t, beta, log_coef)
-    trace = [ll]
-    converged = False
-    iterations = 0
-    for iterations in range(1, MAX_ITER + 1):
-        eta = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
-        mu = _sigmoid(eta)
-        w = np.maximum(t * mu * (1.0 - mu), 1e-12)
-        z = eta + (s - t * mu) / w
-        xtw = x.T * w
-        try:
-            beta_new = np.linalg.solve(xtw @ x, xtw @ z)
-        except np.linalg.LinAlgError:
-            break
-        step = beta_new - beta
-        # step halving keeps the likelihood trace nondecreasing
-        ll_new = _logistic_ll(x, s, t, beta + step, log_coef)
-        while ll_new < ll - 1e-12 and np.max(np.abs(step)) > 1e-14:
-            step *= 0.5
-            ll_new = _logistic_ll(x, s, t, beta + step, log_coef)
-        beta = beta + step
-        ll = max(ll, ll_new)
-        trace.append(ll_new)
-        if np.max(np.abs(step)) < TOL:
-            converged = True
-            break
-
-    # a predictor held at the clip stops the steps short of a finite optimum
-    clipped = np.max(np.abs(x @ beta)) >= _ETA_CLIP
-    converged = converged and not clipped
-    diagnostic = None
-    if not converged:
-        if clipped or np.max(np.abs(beta)) > 25.0:
-            diagnostic = "no convergence: coefficients diverging, possible complete separation"
-        else:
-            diagnostic = f"no convergence after {iterations} iterations"
-
-    eta = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
-    mu = _sigmoid(eta)
-    w = np.maximum(t * mu * (1.0 - mu), 1e-12)
-    info = (x.T * w) @ x
-    se = _standard_errors(info)
-    return GlmFit(
-        family="binomial-logit",
-        terms=names,
-        coefficients=beta,
-        standard_errors=se,
-        dispersion=None,
-        log_likelihood=_logistic_ll(x, s, t, beta, log_coef),
-        converged=converged,
-        iterations=iterations,
-        ll_trace=trace,
-        diagnostic=diagnostic,
-    )
-
-
-def _standard_errors(info: np.ndarray) -> np.ndarray:
-    try:
-        cov = np.linalg.inv(info)
-        return np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    except np.linalg.LinAlgError:
-        return np.full(info.shape[0], np.nan)
+    fit = _irls(x, np.zeros(x.shape[1]), lambda eta: _logistic_family(eta, s, t, log_coef))
+    return GlmFit(family="binomial-logit", terms=names, dispersion=None, **fit)
 
 
 class _Counts:
@@ -202,23 +221,18 @@ class _Counts:
         return float(self.tails @ (1.0 / (theta + self.k) ** 2))
 
 
-def _negbin_ll(x: np.ndarray, counts: _Counts, beta: np.ndarray, theta: float) -> float:
+def _negbin_ll(mu: np.ndarray, counts: _Counts, theta: float) -> float:
     y = counts.y
-    mu = np.exp(np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP))
     return counts.log_gamma_terms(theta) + float(
         np.sum(theta * np.log(theta / (theta + mu)) + y * np.log(mu / (theta + mu)))
     )
 
 
-def _negbin_gain(x, y, eta, mu, step, theta: float) -> float:
-    """Log-likelihood change from eta = X beta to X (beta + step) at a fixed theta.
-
-    The gamma terms cancel, and differencing each observation keeps the
-    change accurate even when it is far below the rounding of the total,
-    as it is near convergence.
-    """
-    d = np.clip(eta + x @ step, -_ETA_CLIP, _ETA_CLIP) - eta
-    return float(np.sum(y * d - (y + theta) * np.log1p(mu * np.expm1(d) / (theta + mu))))
+def _negbin_family(eta, counts: _Counts, theta: float):
+    """Log-likelihood, IRLS weights, working response and :func:`_gain` terms at eta."""
+    mu, y = np.exp(eta), counts.y
+    w = mu * theta / (theta + mu)
+    return _negbin_ll(mu, counts, theta), w, eta + (y - mu) / mu, (y, y + theta, mu / (theta + mu))
 
 
 def negbin_log_likelihood(design, counts, beta, dispersion) -> float:
@@ -226,12 +240,9 @@ def negbin_log_likelihood(design, counts, beta, dispersion) -> float:
 
     Counts must be whole numbers.
     """
-    return _negbin_ll(
-        np.asarray(design, dtype=float),
-        _Counts(counts),
-        np.asarray(beta, dtype=float),
-        float(dispersion),
-    )
+    eta = np.asarray(design, dtype=float) @ np.asarray(beta, dtype=float)
+    mu = np.exp(np.clip(eta, -_ETA_CLIP, _ETA_CLIP))
+    return _negbin_ll(mu, _Counts(counts), float(dispersion))
 
 
 def _theta_score(theta: float, counts: _Counts, mu: np.ndarray) -> float:
@@ -281,8 +292,10 @@ def fit_negative_binomial(design, counts, *, terms=None) -> GlmFit:
 
     Alternates an IRLS step for the coefficients with a safeguarded Newton
     solve of the dispersion score, started from the previous dispersion.
-    Counts must be whole numbers; the cost of each likelihood or score
-    evaluation grows with the largest count.
+    Converges as :func:`fit_binomial_logistic` does, with the dispersion
+    also settled to 1e-8 in log scale; a diagnostic names a dispersion held
+    at its bound.  Counts must be whole numbers; the cost of each likelihood
+    or score evaluation grows with the largest count.
     """
     x = _as_design(design)
     y = np.asarray(counts, dtype=float)
@@ -300,55 +313,17 @@ def fit_negative_binomial(design, counts, *, terms=None) -> GlmFit:
     beta = np.zeros(x.shape[1])
     beta[0] = math.log(max(mean, 1e-8)) if np.allclose(x[:, 0], 1.0) else 0.0
 
-    trace = [_negbin_ll(x, counts, beta, theta)]
-    converged = False
-    iterations = 0
     note: str | None = None
-    for iterations in range(1, MAX_ITER + 1):
-        eta = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
-        mu = np.exp(eta)
-        w = mu * theta / (theta + mu)
-        z = eta + (y - mu) / mu
-        xtw = x.T * w
-        try:
-            beta_new = np.linalg.solve(xtw @ x, xtw @ z)
-        except np.linalg.LinAlgError:
-            break
-        step = beta_new - beta
-        # step halving keeps the likelihood trace nondecreasing
-        while _negbin_gain(x, y, eta, mu, step, theta) < -1e-12 and np.max(np.abs(step)) > 1e-14:
-            step *= 0.5
-        beta = beta + step
 
-        mu = np.exp(np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP))
-        theta_new, note = _update_theta(counts, mu, theta)
-        theta_change = abs(math.log(theta_new) - math.log(theta))
-        theta = theta_new
-        trace.append(_negbin_ll(x, counts, beta, theta))
-        if np.max(np.abs(step)) < TOL and theta_change < 1e-8:
-            converged = True
-            break
+    def update_theta(eta) -> bool:
+        nonlocal theta, note
+        previous = theta
+        theta, note = _update_theta(counts, np.exp(eta), theta)
+        return abs(math.log(theta) - math.log(previous)) < 1e-8
 
-    diagnostic = note
-    if not converged and diagnostic is None:
-        diagnostic = f"no convergence after {iterations} iterations"
-
-    mu = np.exp(np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP))
-    w = mu * theta / (theta + mu)
-    info = (x.T * w) @ x
-    se = _standard_errors(info)
-    return GlmFit(
-        family="negative-binomial-log",
-        terms=names,
-        coefficients=beta,
-        standard_errors=se,
-        dispersion=theta,
-        log_likelihood=_negbin_ll(x, counts, beta, theta),
-        converged=converged,
-        iterations=iterations,
-        ll_trace=trace,
-        diagnostic=diagnostic,
-    )
+    fit = _irls(x, beta, lambda eta: _negbin_family(eta, counts, theta), update_theta)
+    fit["diagnostic"] = "; ".join(filter(None, (fit["diagnostic"], note))) or None
+    return GlmFit(family="negative-binomial-log", terms=names, dispersion=theta, **fit)
 
 
 def _exp(x: float) -> float:

@@ -523,6 +523,22 @@ def test_out_of_range_window_instant_is_a_usage_error(capsys):
     assert "bad window instant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0", "1.5", "-0.1"])
+def test_alpha_outside_the_open_unit_interval_is_a_usage_error(clienv, capsys, alpha):
+    commands = [
+        ["corpus", "trend", "--manifest", MANIFEST, "--from", "2023-01", "--to", "2023-05"],
+        [
+            "reliability", "compare", "--runs", clienv["runs"], "--sizes", clienv["sizes"],
+            "--window", "2023-01-01..2023-12-31",
+        ],
+    ]
+    for command in commands:
+        assert run_main([*command, "--alpha", alpha]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Invalid value for '--alpha'" in err
+
+
 @pytest.mark.parametrize(
     "bad_record, commands",
     [

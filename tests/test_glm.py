@@ -161,6 +161,16 @@ def test_logistic_fit_held_at_the_clip_is_not_converged():
         effect_table(fit)
 
 
+def test_negative_binomial_fit_held_at_the_clip_is_not_converged():
+    # No count in the first group: its mean runs off to zero and the steps stop at the clip.
+    fit = fit_negative_binomial(np.column_stack([np.ones(6), [0, 0, 0, 1, 1, 1.0]]), [0, 0, 0, 5, 6, 9])
+    assert not fit.converged
+    assert "coefficients diverging" in fit.diagnostic
+    assert "near-Poisson" in fit.diagnostic
+    with pytest.raises(ValueError, match="converged"):
+        effect_table(fit)
+
+
 def test_effect_table_ratios_past_the_float_range_are_infinite():
     # the estimates of the fit above, had it been reported as converged
     fit = GlmFit(
@@ -180,6 +190,46 @@ def test_logistic_matches_balanced_proportions():
     fit = fit_binomial_logistic(design, [3, 5, 2], [10, 10, 10])
     p = 1 / (1 + math.exp(-fit.coefficients[0]))
     assert p == pytest.approx(10 / 30, abs=1e-8)
+
+
+gain_observations = st.lists(
+    st.tuples(st.floats(-1.0, 1.0), st.integers(0, 50), st.integers(0, 50)), min_size=1, max_size=30
+)
+coefficients = st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gain_observations, coefficients, coefficients, st.floats(-4.0, 4.0).map(lambda e: 10.0**e))
+def test_irls_gain_matches_the_likelihood_difference(obs, beta, step, theta):
+    # |x| <= 1 and coefficients within 10 keep X beta well inside the clip
+    x = np.column_stack([np.ones(len(obs)), [v for v, _, _ in obs]])
+    y = np.array([k for _, k, _ in obs], dtype=float)
+    t = y + np.array([m for _, _, m in obs], dtype=float)
+    eta = x @ beta
+    lgamma = np.vectorize(math.lgamma)
+
+    def logistic_terms(b):
+        p = 1.0 / (1.0 + np.exp(-(x @ b)))
+        return lgamma(t + 1) - lgamma(y + 1) - lgamma(t - y + 1), y * np.log(p), (t - y) * np.log(1.0 - p)
+
+    def negbin_terms(b):
+        m = np.exp(x @ b)
+        gamma = lgamma(y + theta) - lgamma(theta) - lgamma(y + 1)
+        return gamma, theta * np.log(theta / (theta + m)), y * np.log(m / (theta + m))
+
+    # logistic_log_likelihood takes log(1 - p) of 1 - p, which keeps only 1/exp(eta) of p's digits
+    one_minus_p = 4e-16 * sum(np.sum((t - y) * np.exp(x @ b)) for b in (beta, beta + step))
+    cases = [
+        (logistic_log_likelihood(x, y, t, beta + step) - logistic_log_likelihood(x, y, t, beta),
+         glm._logistic_family(eta, y, t, 0.0), logistic_terms, one_minus_p),
+        (negbin_log_likelihood(x, y, beta + step, theta) - negbin_log_likelihood(x, y, beta, theta),
+         glm._negbin_family(eta, glm._Counts(y), theta), negbin_terms, 0.0),
+    ]
+    for difference, (_, _, _, gain_terms), per_observation, oracle_rounding in cases:
+        # the two totals round at the size of their per-observation terms
+        scale = sum(np.sum(np.abs(part)) for b in (beta, beta + step) for part in per_observation(b))
+        gain = glm._gain(x, eta, step, *gain_terms)
+        assert gain == pytest.approx(difference, abs=1e-12 * scale + oracle_rounding)
 
 
 # ------------------------------------------- scipy as a test-only oracle
@@ -297,7 +347,7 @@ def test_theta_slope_matches_central_difference(counts, theta, slope):
 
 def _profile_ll(tails: glm._Counts, mu: np.ndarray, theta: float) -> float:
     """The NB log-likelihood at fixed means, as a function of the dispersion."""
-    return glm._negbin_ll(np.log(mu)[:, None], tails, np.ones(1), theta)
+    return glm._negbin_ll(mu, tails, theta)
 
 
 _CASE_RNG = np.random.default_rng(31)
