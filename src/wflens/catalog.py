@@ -13,7 +13,6 @@ import json
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from importlib import resources
 from operator import itemgetter
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .abstraction import (
     ruleset_from_data,
     ruleset_to_data,
 )
-from .instants import expect
+from .instants import bundled_json, expect
 from .model import ConcretePath, Key
 
 FEATURES: tuple[str, ...] = (
@@ -304,8 +303,7 @@ def load_catalog(path: str | Path) -> Catalog:
 
 @lru_cache(maxsize=1)
 def default_catalog() -> Catalog:
-    raw = resources.files("wflens.data").joinpath("catalog.json").read_text("utf-8")
-    return catalog_from_data(json.loads(raw))
+    return catalog_from_data(bundled_json("catalog.json"))
 
 
 def validate_catalog(catalog: Catalog) -> CatalogReport:

@@ -38,7 +38,7 @@ from .corpus import (
     materialize_snapshots,
     month_range,
 )
-from .instants import parse_instant
+from .instants import dumps_indented, parse_instant
 from .lint import default_risk_model, diagnostic_to_dict, evaluate, load_risk_model
 from .metrics import SIZE_METRICS, WorkflowMetrics
 from .model import discover_workflow_files
@@ -55,7 +55,7 @@ from .reliability import (
     reliability_metrics,
 )
 from .scan import ScanResult, scan_file, scan_record
-from .stats import mann_kendall
+from .stats import check_alpha, mann_kendall
 
 
 T = TypeVar("T")
@@ -68,7 +68,7 @@ class InputError(click.ClickException):
 
 
 def _emit_json(data: object) -> None:
-    click.echo(json.dumps(data, sort_keys=True, indent=2))
+    click.echo(dumps_indented(data))
 
 
 def _load(what: str, load: Callable[[str], T], path: str | None, default: Callable[[], T]) -> T:
@@ -106,9 +106,8 @@ def _expand_paths(paths: tuple[str, ...]) -> list[str]:
     """Files stay as given; directories are searched for workflow files."""
     out: list[str] = []
     for raw in paths:
-        p = Path(raw)
-        if p.is_dir():
-            out.extend(str(f) for f in discover_workflow_files(p))
+        if Path(raw).is_dir():
+            out.extend(discover_workflow_files(raw))
         else:
             out.append(raw)
     if not out:
@@ -130,10 +129,10 @@ def _parse_window(text: str) -> tuple[datetime, datetime]:
 
 
 def _check_alpha(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    # written so that nan fails too: every comparison with nan is false
-    if not 0.0 < value < 1.0:
-        raise click.BadParameter("must be strictly between 0 and 1")
-    return value
+    try:
+        return check_alpha(value)
+    except ValueError as exc:
+        raise click.BadParameter("must be strictly between 0 and 1") from exc
 
 
 def _num(value: float | None) -> float | None:
@@ -197,11 +196,9 @@ def scan(paths: tuple[str, ...], catalog_path: str | None, fmt: str) -> None:
     if fmt == "json":
         _emit_json(records)
     elif fmt == "jsonl":
-        for record in records:
-            click.echo(json.dumps(record, sort_keys=True))
+        click.echo("\n".join([json.dumps(record, sort_keys=True) for record in records]))
     else:
-        for record in records:
-            click.echo(_scan_line(record))
+        click.echo("\n".join([_scan_line(record) for record in records]))
     _exit_if_failed(results)
 
 
@@ -247,14 +244,14 @@ def lint(paths: tuple[str, ...], catalog_path: str | None, model_path: str | Non
             }
         )
     else:
-        for d in diagnostics:
-            click.echo(f"{d.file}: {d.rule_id} {d.severity}: {d.message}")
-        for file in sorted(risk):
-            entry = risk[file]
-            click.echo(
-                f"{file}: relative failure odds {entry['relative_failure_odds']}, "
-                f"relative commit rate {entry['relative_commit_rate']}"
-            )
+        lines = [f"{d.file}: {d.rule_id} {d.severity}: {d.message}" for d in diagnostics]
+        lines.extend(
+            f"{file}: relative failure odds {entry['relative_failure_odds']}, "
+            f"relative commit rate {entry['relative_commit_rate']}"
+            for file, entry in sorted(risk.items())
+        )
+        if lines:
+            click.echo("\n".join(lines))
     _exit_if_failed(results)
     if any(d.severity == "warn" for d in diagnostics):
         sys.exit(1)

@@ -1,10 +1,12 @@
-"""Inputs: instants, JSON type checks, and JSONL records of runs, manifests and scans."""
+"""JSON in and out: instants, JSON type checks, JSONL records of runs, manifests
+and scans, the bundled data files, and the indented JSON that commands print."""
 
 from __future__ import annotations
 
 import json
 import json.scanner
-from collections.abc import Iterator
+import os
+from collections.abc import Callable, Iterator
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -61,3 +63,132 @@ def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, object]]:
                 except (ValueError, RecursionError) as exc:
                     raise ValueError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
             yield lineno, value
+
+
+def bundled_json(name: str):
+    """The decoded JSON of ``wflens/data/<name>``.
+
+    Read through the package's own loader, so a zip install works too,
+    without the per-call cost of :mod:`importlib.resources`.
+    """
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    return json.loads(__spec__.loader.get_data(path).decode("utf-8"))
+
+
+_string = json.encoder.encode_basestring_ascii
+_int_text = int.__repr__
+_float_repr = float.__repr__
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = _float_repr(value)
+    return _NONFINITE.get(text, text)
+
+
+def _scalar_text(value) -> str | None:
+    """The JSON text of a scalar, typed in :mod:`json`'s order; None for an array or object."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _int_text(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _name_text(key) -> str:
+    """``"key": `` for an object key; json writes a number, bool or None key as a string of its text."""
+    if isinstance(key, str):
+        return _string(key) + ": "
+    if key is None or isinstance(key, (int, float)):
+        return _string(_scalar_text(key)) + ": "
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def dumps_indented(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, at about twice its speed.
+
+    :mod:`json` encodes indented output in pure Python, one generator per
+    container.  This writer appends to one list instead, dispatches on
+    exact types first and falls back to :mod:`json`'s ``isinstance`` order,
+    so subclasses, NaN, infinities, non-string keys and the ``TypeError``
+    for anything else come out as :mod:`json` makes them.  Unlike
+    :mod:`json` it does not look for reference cycles: a cyclic value ends
+    in ``RecursionError``.
+    """
+    out: list[str] = []
+    _write(value, out.append, "\n", {})
+    return "".join(out)
+
+
+def _write(value, put: Callable[[str], None], newline: str, names: dict[str, str]) -> None:
+    """Append the text of ``value``, nested at the indent that ``newline`` ends in.
+
+    ``names`` caches the ``"key": `` text of each string key seen so far.
+    """
+    kind = type(value)
+    if kind is not dict and kind is not list:
+        text = _scalar_text(value)
+        if text is not None:
+            put(text)
+            return
+        # a tuple, or a subclass of list or dict: json writes it as its base type
+        value = dict(value.items()) if isinstance(value, dict) else list(value)
+        kind = type(value)
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            put("{}")
+            return
+        sep = "{" + inner
+        # distinct keys: sorting them orders the items as json's sorted(items()) does
+        for key in sorted(value):
+            item = value[key]
+            name = names.get(key)
+            if name is None:
+                name = _name_text(key)
+                if isinstance(key, str):
+                    names[key] = name
+            kind = type(item)
+            if kind is int:
+                put(f"{sep}{name}{_int_text(item)}")
+            elif kind is float:
+                put(f"{sep}{name}{_float_text(item)}")
+            elif kind is bool:
+                put(f"{sep}{name}{'true' if item else 'false'}")
+            elif item is None:
+                put(f"{sep}{name}null")
+            elif kind is str:
+                put(f"{sep}{name}{_string(item)}")
+            else:
+                put(sep + name)
+                _write(item, put, inner, names)
+            sep = "," + inner
+        put(newline + "}")
+    else:
+        if not value:
+            put("[]")
+            return
+        sep = "[" + inner
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                put(sep + _string(item))
+            elif kind is int:
+                put(sep + _int_text(item))
+            elif kind is float:
+                put(sep + _float_text(item))
+            else:
+                put(sep)
+                _write(item, put, inner, names)
+            sep = "," + inner
+        put(newline + "]")

@@ -11,11 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
 from .catalog import FEATURES
-from .instants import expect
+from .instants import bundled_json, expect
 from .metrics import SIZE_METRICS, WorkflowMetrics
 
 CAVEAT = "This is an association observed across workflows, not a causal guarantee."
@@ -122,8 +121,7 @@ def load_risk_model(path: str | Path) -> RiskModel:
 
 @lru_cache(maxsize=1)
 def default_risk_model() -> RiskModel:
-    raw = resources.files("wflens.data").joinpath("risk_model.json").read_text("utf-8")
-    return risk_model_from_data(json.loads(raw))
+    return risk_model_from_data(bundled_json("risk_model.json"))
 
 
 def _size_diagnostics(

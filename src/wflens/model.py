@@ -9,6 +9,7 @@ not paths of their own.  The document root is not a path.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -403,9 +404,12 @@ def _parse_segments(text: str) -> list[tuple[str, str]]:
 
 
 _SUFFIXES = (".yml", ".yaml")
+# Where a directory lies: a walked directory's .github, the workflows
+# folder in one, or anywhere else.
+_OUTSIDE, _GITHUB, _WORKFLOWS = range(3)
 
 
-def discover_workflow_files(root: str | Path) -> list[Path]:
+def discover_workflow_files(root: str | Path) -> list[str]:
     """Workflow files under ``root``, sorted for deterministic processing.
 
     A repository checkout contributes ``.github/workflows/*.yml`` and
@@ -413,24 +417,63 @@ def discover_workflow_files(root: str | Path) -> list[Path]:
     ``.github/workflows`` folder is treated as a flat collection and yields
     every ``*.yml``/``*.yaml`` beneath it.  Symlinked directories are not
     descended into, but a symlinked ``.github`` or ``workflows`` is read.
+
+    Each directory is listed once.  Names start with ``str(Path(root))``
+    and sort by path component, as :class:`~pathlib.Path` objects would.
     """
-    base = Path(root)
-    if base.is_file():
+    base = str(Path(root))
+    if os.path.isfile(base):
         return [base]
-    canonical: list[Path] = []
+    canonical: list[str] = []
     flat: list[str] = []
-    for dirpath, dirnames, filenames in os.walk(base):
-        flat.extend(os.path.join(dirpath, name) for name in filenames if name.endswith(_SUFFIXES))
-        if ".github" in dirnames:
-            canonical.extend(_workflow_files(os.path.join(dirpath, ".github", "workflows")))
-    if canonical:
-        return sorted(canonical)
-    return sorted(Path(p) for p in flat if os.path.isfile(p))
+    stack = [(base, _OUTSIDE)]
+    while stack:
+        top, place = stack.pop()
+        prefix = "" if top == "." else os.path.join(top, "")
+        try:
+            with os.scandir(top) as listing:
+                entries = list(listing)
+        except OSError:
+            continue
+        for entry in entries:
+            name = entry.name
+            path = prefix + name
+            if _holds(entry.is_dir):
+                if name == ".github":
+                    inner = _GITHUB
+                elif name == "workflows" and place == _GITHUB:
+                    inner = _WORKFLOWS
+                else:
+                    inner = _OUTSIDE
+                if not entry.is_symlink():
+                    stack.append((path, inner))
+                elif inner == _GITHUB:
+                    canonical.extend(_workflow_files(os.path.join(path, "workflows")))
+                elif inner == _WORKFLOWS:
+                    canonical.extend(_workflow_files(path))
+            elif name.endswith(_SUFFIXES) and _holds(entry.is_file):
+                flat.append(path)
+                if place == _WORKFLOWS:
+                    canonical.append(path)
+    return sorted(canonical or flat, key=_components)
 
 
-def _workflow_files(directory: str) -> list[Path]:
+def _holds(test: Callable[[], bool]) -> bool:
+    """``test()``, or False where it raises :class:`OSError`, as :func:`os.walk` reads it."""
+    try:
+        return test()
+    except OSError:
+        return False
+
+
+def _components(path: str) -> list[str]:
+    return path.split(os.sep)
+
+
+def _workflow_files(directory: str) -> list[str]:
+    """The workflow files in a symlinked ``.github/workflows``, which the walk does not enter."""
     try:
         with os.scandir(directory) as entries:
-            return [Path(e.path) for e in entries if e.name.endswith(_SUFFIXES) and e.is_file()]
+            return [e.path for e in entries if e.name.endswith(_SUFFIXES) and _holds(e.is_file)]
     except OSError:
         return []

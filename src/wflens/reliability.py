@@ -25,6 +25,7 @@ from .metrics import SIZE_METRICS
 from .stats import (
     EffectSize,
     bh_adjust,
+    check_alpha,
     cliffs_delta,
     effect_table,
     fit_binomial_logistic,
@@ -289,8 +290,10 @@ def compare_groups(
     Every size metric is tercile-split; each outcome is tested large vs
     small with a two-sided Mann-Whitney U plus Cliff's delta (positive
     delta: larger workflows have higher values).  BH runs jointly over all
-    cells; MTTR cells cover only workflows that recovered.
+    cells; MTTR cells cover only workflows that recovered.  ``alpha`` must
+    lie strictly between 0 and 1.
     """
+    check_alpha(alpha)
     prepared = []
     for size_metric in SIZE_METRICS:
         if size_metric not in sizes:

@@ -14,7 +14,7 @@ from .glm import (
     logistic_score,
     negbin_log_likelihood,
 )
-from .ranktests import bh_adjust, cliffs_delta, mann_whitney_u
+from .ranktests import bh_adjust, check_alpha, cliffs_delta, mann_whitney_u
 from .trend import mann_kendall
 from .types import EffectRow, EffectSize, EffectTable, GlmFit, TestResult, TrendResult
 
@@ -27,6 +27,7 @@ __all__ = [
     "TestResult",
     "TrendResult",
     "bh_adjust",
+    "check_alpha",
     "cliffs_delta",
     "effect_table",
     "fit_binomial_logistic",

@@ -136,17 +136,17 @@ def _log_binomial_coefficients(successes: np.ndarray, trials: np.ndarray) -> flo
     )
 
 
-def _logistic_ll(mu, s, t, log_coef: float) -> float:
-    mu = np.clip(mu, 1e-12, 1.0 - 1e-12)
-    return log_coef + float(np.sum(s * np.log(mu) + (t - s) * np.log(1.0 - mu)))
+def _logistic_ll(eta, s, t, log_coef: float) -> float:
+    # log-sigmoid form: log(1 - mu) taken from 1 - mu keeps only 1/exp(eta) of mu's digits
+    return log_coef + float(np.sum(s * eta - t * np.logaddexp(0.0, eta)))
 
 
 def logistic_log_likelihood(design, successes, trials, beta) -> float:
     """Binomial log-likelihood (including the binomial coefficient)."""
     s = np.asarray(successes, dtype=float)
     t = np.asarray(trials, dtype=float)
-    mu = _sigmoid(np.asarray(design, dtype=float) @ np.asarray(beta, dtype=float))
-    return _logistic_ll(mu, s, t, _log_binomial_coefficients(s, t))
+    eta = np.asarray(design, dtype=float) @ np.asarray(beta, dtype=float)
+    return _logistic_ll(np.clip(eta, -_ETA_CLIP, _ETA_CLIP), s, t, _log_binomial_coefficients(s, t))
 
 
 def logistic_score(design, successes, trials, beta) -> np.ndarray:
@@ -163,7 +163,7 @@ def _logistic_family(eta, s, t, log_coef: float):
     """Log-likelihood, IRLS weights, working response and :func:`_gain` terms at eta."""
     mu = _sigmoid(eta)
     w = np.maximum(t * mu * (1.0 - mu), 1e-12)
-    return _logistic_ll(mu, s, t, log_coef), w, eta + (s - t * mu) / w, (s, t, mu)
+    return _logistic_ll(eta, s, t, log_coef), w, eta + (s - t * mu) / w, (s, t, mu)
 
 
 def fit_binomial_logistic(design, successes, trials, *, terms=None) -> GlmFit:

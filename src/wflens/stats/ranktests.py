@@ -18,6 +18,14 @@ _MAGNITUDE_LEVELS = (0.147, 0.33, 0.474)
 _MAGNITUDE_NAMES = ("negligible", "small", "medium", "large")
 
 
+def check_alpha(alpha: float) -> float:
+    """``alpha``, checked to lie strictly between 0 and 1."""
+    # written so that nan fails too: every comparison with nan is false
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be strictly between 0 and 1, not {alpha!r}")
+    return alpha
+
+
 def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 

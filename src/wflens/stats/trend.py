@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .ranktests import _normal_sf
+from .ranktests import _normal_sf, check_alpha
 from .types import TrendResult
 
 ALPHA = 0.05
@@ -17,8 +17,10 @@ def mann_kendall(series, alpha: float = ALPHA) -> TrendResult:
 
     S sums the signs of all forward differences; the variance carries the
     tie correction and the z statistic the continuity correction.  tau is
-    the tie-corrected (tau-b) normalization of S.
+    the tie-corrected (tau-b) normalization of S.  ``alpha`` must lie
+    strictly between 0 and 1.
     """
+    check_alpha(alpha)
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 4:
         raise ValueError("mann_kendall requires at least 4 observations")

@@ -1,10 +1,13 @@
 """Parsing and path enumeration."""
 
+from pathlib import Path
+
 import yaml
 import pytest
 from hypothesis import given, strategies as st
 
 import wflens
+from wflens import cli
 from wflens.model import Index, Key, Mapping, Scalar, Sequence
 
 from conftest import FIXTURES
@@ -68,7 +71,7 @@ def test_path_count_matches_independent_walk(node_ci_text, node_ci_paths):
 
 def test_path_count_oracle_on_fixture_tree(catalog):
     for file in wflens.discover_workflow_files(FIXTURES / "corpus"):
-        text = file.read_text(encoding="utf-8")
+        text = Path(file).read_text(encoding="utf-8")
         paths = wflens.enumerate_paths(wflens.parse_workflow(text))
         assert len(paths) == count_nodes(yaml.safe_load(text))
 
@@ -170,16 +173,16 @@ def test_render_parse_fixpoint(first, rest):
 
 def test_discovery_prefers_canonical_layout():
     files = wflens.discover_workflow_files(FIXTURES / "corpus")
-    names = [f.name for f in files]
+    names = [Path(f).name for f in files]
     assert names == ["ci.yml", "release.yml", "tiny.yml"]
-    assert all(".github/workflows" in str(f) for f in files)
+    assert all(".github/workflows" in f for f in files)
 
 
 def test_discovery_falls_back_to_flat_search(tmp_path):
     (tmp_path / "sub").mkdir()
     (tmp_path / "a.yml").write_text("name: a\n")
     (tmp_path / "sub" / "b.yaml").write_text("name: b\n")
-    names = [f.name for f in wflens.discover_workflow_files(tmp_path)]
+    names = [Path(f).name for f in wflens.discover_workflow_files(tmp_path)]
     assert names == ["a.yml", "b.yaml"]
 
 
@@ -236,11 +239,19 @@ def _discovery_tree(root):
     (root / "flat/broken.yml").symlink_to(root / "missing.yml")
 
 
-def test_discovery_pins_order_and_layout_rules(tmp_path):
+def test_discovery_pins_order_and_layout_rules(tmp_path, monkeypatch):
     _discovery_tree(tmp_path)
+    monkeypatch.chdir(tmp_path.parent)
 
     def found(root):
-        return [f.relative_to(tmp_path).as_posix() for f in wflens.discover_workflow_files(root)]
+        files = [Path(f).relative_to(tmp_path).as_posix() for f in wflens.discover_workflow_files(root)]
+        if root.is_dir():
+            # The CLI names each file under its directory argument as
+            # str(Path) spells it, however the argument was spelled.
+            spelled = root.relative_to(tmp_path.parent).as_posix()
+            for spelling in (f"./{spelled}", f"{spelled}/", f"{spelled}//"):
+                assert cli._expand_paths((spelling,)) == [f"{tmp_path.name}/{f}" for f in files]
+        return files
 
     # Directories sort by path component, so "a/..." precedes "a-b/...".  A
     # symlinked directory is not descended into, but a symlinked .github
@@ -277,3 +288,6 @@ def test_discovery_pins_order_and_layout_rules(tmp_path):
     ]
     assert found(tmp_path / "flat/a.yml") == ["flat/a.yml"]
     assert found(tmp_path / "absent") == []
+    # The current directory as the root adds no "./" to the names.
+    monkeypatch.chdir(tmp_path / "flat")
+    assert cli._expand_paths((".",)) == [".hidden/c.yml", "a.yml", "dir.yml/inner.yml", "file-link.yml", "sub/b.yaml"]

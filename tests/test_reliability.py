@@ -302,6 +302,14 @@ def test_compare_groups_directional():
     assert missing.p_raw is None and not missing.significant
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 5.0, float("nan"), float("inf")])
+def test_compare_groups_rejects_alpha_outside_unit_interval(alpha):
+    sizes = {"n_paths": {f"w{i}": float(i) for i in range(1, 10)}}
+    outcomes = {"n_commits": {f"w{i}": float(i) for i in range(1, 10)}}
+    with pytest.raises(ValueError, match="alpha must be strictly between 0 and 1"):
+        wflens.compare_groups(sizes, outcomes, alpha=alpha)
+
+
 def test_compare_groups_full_grid(synthetic_corpus):
     sizes, records, window = synthetic_corpus
     groups = group_records(records)

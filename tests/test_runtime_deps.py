@@ -1,8 +1,9 @@
-"""scipy is a test-only dependency: wflens neither imports nor needs it."""
+"""What wflens needs at run time: no scipy, no pkgutil, and no file system for its bundled data."""
 
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import wflens
@@ -27,6 +28,39 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_commands_import_no_pkgutil():
+    fixtures = str(Path(__file__).parent / "fixtures")
+    proc = python(
+        "import sys; before = set(sys.modules); from wflens.cli import main\n"
+        "try:\n    main(['lint', '--format', 'json', sys.argv[1]])\nexcept SystemExit:\n    pass\n"
+        "print('pkgutil' in set(sys.modules) - before, file=sys.stderr)",
+        fixtures,
+    )
+    assert '"diagnostics"' in proc.stdout
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
+def test_bundled_data_loads_from_a_zip_install(tmp_path):
+    package = Path(wflens.__file__).parent
+    archive = tmp_path / "wflens.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for file in package.rglob("*"):
+            if file.suffix in (".py", ".json"):
+                zf.write(file, file.relative_to(package.parent).as_posix())
+    code = (
+        "import sys, wflens\n"
+        "assert wflens.__file__.startswith(sys.argv[1]), wflens.__file__\n"
+        "print(len(wflens.default_catalog().entries), sorted(wflens.default_risk_model().thresholds))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(archive))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(archive)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = f"{len(wflens.default_catalog().entries)} {sorted(wflens.default_risk_model().thresholds)}"
+    assert proc.stdout.strip() == expected
 
 
 def test_regress_runs_with_scipy_blocked(tmp_path):

@@ -354,6 +354,12 @@ def test_mk_alpha_controls_label():
     assert strict.trend == "no trend"
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 5.0, float("nan"), float("inf")])
+def test_mk_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ValueError, match="alpha must be strictly between 0 and 1"):
+        mann_kendall([1, 2, 3, 4, 5, 6, 7, 8], alpha=alpha)
+
+
 def test_mk_needs_four_points():
     with pytest.raises(ValueError):
         mann_kendall([1.0, 2.0, 3.0])
