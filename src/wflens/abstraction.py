@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Union
 
 from .instants import expect
-from .model import ConcretePath, Index, Key
+from .model import ConcretePath, Index, Key, _parse_segments
 
 PLACEHOLDER_KINDS = ("id", "var", "param", "s_id")
 
@@ -153,8 +153,6 @@ def _segment(token: str) -> Key | Placeholder:
 
 def _parse_construct_checked(text: str) -> Construct:
     """:func:`parse_construct` for any text, with the grammar's checks and errors."""
-    from .model import _parse_segments  # shared rendered-path grammar
-
     out: list[AbstractSegment] = []
     for kind, value in _parse_segments(text):
         if kind == "index":

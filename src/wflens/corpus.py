@@ -136,7 +136,7 @@ def load_history_manifest(path: str | Path) -> list[HistoryInterval]:
     """Read a JSONL history manifest; file references stay relative to it."""
     intervals: list[HistoryInterval] = []
     base = Path(path).parent
-    for lineno, row in read_jsonl(path, "manifest record"):
+    for lineno, row in read_jsonl(path, "manifest record", "manifest"):
         try:
             intervals.append(
                 HistoryInterval(

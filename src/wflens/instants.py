@@ -41,28 +41,31 @@ def expect(value, kind: type, what: str):
 _scan_value = json.scanner.make_scanner(json.JSONDecoder())
 
 
-def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, object]]:
+def read_jsonl(path: str | Path, what: str, source: str = "file") -> Iterator[tuple[int, object]]:
     """The line number and decoded JSON value of each non-blank line.
 
     A line that is not JSON, or nested too deeply to decode, raises :class:`ValueError` as
-    ``path:line: malformed <what>: ...``; unreadable or undecodable files
-    raise what ``open`` and reading raise.
+    ``path:line: malformed <what>: ...``; a file that cannot be opened, read
+    or decoded as UTF-8 raises it as ``cannot read <source> path: ...``.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value, end = _scan_value(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                end = -1
-            if end != len(line):  # not one whole value: json.loads names the fault
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
                 try:
-                    value = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
-            yield lineno, value
+                    value, end = _scan_value(line, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    end = -1
+                if end != len(line):  # not one whole value: json.loads names the fault
+                    try:
+                        value = json.loads(line)
+                    except (ValueError, RecursionError) as exc:
+                        raise ValueError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
+                yield lineno, value
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {source} {path}: {exc}") from exc
 
 
 def bundled_json(name: str):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abstraction import Construct, ConstructBag, render_construct
-from .catalog import FEATURES, Catalog, ConstructTally, ScanIndex, bag_rows, tally_constructs
+from .catalog import FEATURES, Catalog, ConstructTally, bag_rows, tally_constructs
 
 RATIO_CAP = 10.0
 SIZE_METRICS: tuple[str, ...] = ("n_paths", "n_constructs", "n_features", "path_construct_ratio")
@@ -60,11 +60,13 @@ def workflow_metrics(bag: ConstructBag, catalog: Catalog) -> WorkflowMetrics:
     """
     if not bag.counts or bag.total_paths <= 0:
         raise ValueError("empty workflow: no paths to measure")
-    return metrics_from_tally(tally_constructs(bag_rows(bag, catalog)), bag, catalog.index)
+    return metrics_from_tally(tally_constructs(bag_rows(bag, catalog)), bag, catalog.feature_sizes())
 
 
-def metrics_from_tally(tally: ConstructTally, bag: ConstructBag, index: ScanIndex) -> WorkflowMetrics:
-    """:func:`workflow_metrics` given the bag's tally against the catalog of ``index``."""
+def metrics_from_tally(
+    tally: ConstructTally, bag: ConstructBag, feature_sizes: dict[str, int]
+) -> WorkflowMetrics:
+    """:func:`workflow_metrics` given the bag's tally and the catalog's constructs per feature."""
     per_feature: dict[str, FeatureUsage] = {}
     n_features = 0
     for feature in FEATURES:
@@ -79,7 +81,7 @@ def metrics_from_tally(tally: ConstructTally, bag: ConstructBag, index: ScanInde
             present=present,
             n_paths=n_paths,
             n_constructs_used=used,
-            construct_coverage=used / index.feature_sizes[feature],
+            construct_coverage=used / feature_sizes[feature],
             path_to_construct_ratio=ratio,
             capped_ratio=min(ratio, RATIO_CAP),
             structural_only=present and informative == 0,

@@ -58,7 +58,7 @@ def load_run_records(path: str | Path) -> list[RunRecord]:
     malformed lines raise with their line number.
     """
     records: list[RunRecord] = []
-    for lineno, row in read_jsonl(path, "run record"):
+    for lineno, row in read_jsonl(path, "run record", "runs file"):
         try:
             conclusion = str(row["conclusion"])
             if conclusion not in CONCLUSIONS:
@@ -96,31 +96,28 @@ def load_scan_tables(
     sizes: dict[str, dict[str, float]] = {m: {} for m in SIZE_METRICS}
     presence: dict[str, dict[str, bool]] = {f: {} for f in FEATURES}
     path_counts: dict[str, dict[str, int]] = {f: {} for f in FEATURES}
-    try:
-        for lineno, record in read_jsonl(path, "scan record"):
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{lineno}: scan record is not a JSON object")
-            if "n_paths" not in record:
-                continue
-            try:
-                workflow_id = record.get("workflow_id") or record["file"]
-                duplicate = workflow_id in sizes["n_paths"]
-                if not duplicate:
-                    for metric in SIZE_METRICS:
-                        sizes[metric][workflow_id] = _finite(float(record[metric]))
-                    for feature, usage in record.get("features", {}).items():
-                        if feature in presence:
-                            used = usage["present"] and not usage["structural_only"]
-                            presence[feature][workflow_id] = bool(used)
-                            path_counts[feature][workflow_id] = _finite(int(usage["n_paths"]))
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: scan record lacks {exc}") from exc
-            except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad scan record: {exc}") from exc
-            if duplicate:
-                raise ValueError(f"{path}:{lineno}: duplicate workflow_id {workflow_id!r}")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read sizes file {path}: {exc}") from exc
+    for lineno, record in read_jsonl(path, "scan record", "sizes file"):
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}:{lineno}: scan record is not a JSON object")
+        if "n_paths" not in record:
+            continue
+        try:
+            workflow_id = record.get("workflow_id") or record["file"]
+            duplicate = workflow_id in sizes["n_paths"]
+            if not duplicate:
+                for metric in SIZE_METRICS:
+                    sizes[metric][workflow_id] = _finite(float(record[metric]))
+                for feature, usage in record.get("features", {}).items():
+                    if feature in presence:
+                        used = usage["present"] and not usage["structural_only"]
+                        presence[feature][workflow_id] = bool(used)
+                        path_counts[feature][workflow_id] = _finite(int(usage["n_paths"]))
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: scan record lacks {exc}") from exc
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad scan record: {exc}") from exc
+        if duplicate:
+            raise ValueError(f"{path}:{lineno}: duplicate workflow_id {workflow_id!r}")
     if not sizes["n_paths"]:
         raise ValueError(f"sizes file {path} holds no scan records with metrics")
     return sizes, presence, path_counts

@@ -40,9 +40,9 @@ from .model import (
 class ScanResult:
     file: str
     error: WorkflowParseError | None
-    bag: ConstructBag | None
-    metrics: WorkflowMetrics | None
-    validation: ValidationReport | None
+    bag: ConstructBag | None = None  # the other fields are None when error is set
+    metrics: WorkflowMetrics | None = None
+    validation: ValidationReport | None = None
 
     @property
     def parsed(self) -> bool:
@@ -63,14 +63,14 @@ def _walk(
     → ``validate_workflow`` give for ``parse_workflow``'s tree, and raises
     the same first error, but builds no tree and no path list.  Counts are
     keyed by index node in the order the constructs are first met; a
-    construct outside the index gets a node of this walk's own.  A frame is
-    ``[node, next index, concrete prefix, index node of the prefix, keys
-    seen]``; sequences have no keys seen.  Nodes on the stack are the
-    alias-cycle check's path.
+    construct outside the index gets a node of this walk's own.  It recurses
+    once per collection, so it needs :data:`MAX_DEPTH` frames of headroom;
+    ``active`` holds the collections on the path, for the cycle check.
     """
     counts: dict[ConstructNode, int] = {}
     examples: dict[Construct, ConcretePath] = {}
     own: dict[tuple[ConstructNode, object], ConstructNode] = {}
+    active: set[int] = set()
 
     def off_index(parent: ConstructNode, token: object) -> ConstructNode:
         child = own.get((parent, token))
@@ -78,19 +78,17 @@ def _walk(
             child = own[parent, token] = index.extend(parent, token)
         return child
 
-    n_paths = 0
-    active = {id(root)}
-    stack: list[list] = [[root, 0, (), index.root, set()]]
-    while stack:
-        frame = stack[-1]
-        node, start, prefix, seen_at, keys = frame
-        items = node.value
-        children = seen_at.children
-        descend = None
-        if keys is None:
-            child = children.get(ANY_INDEX) or off_index(seen_at, ANY_INDEX)
-            for i in range(start, len(items)):
-                item = items[i]
+    def visit(node: yaml.Node, prefix: ConcretePath, at: ConstructNode, depth: int, n_paths: int) -> int:
+        """Count the paths below ``node``, the collection at ``prefix``; the path total after them."""
+        if id(node) in active:
+            raise _cycle(node)
+        if depth > MAX_DEPTH:
+            raise _too_deep(node)
+        active.add(id(node))
+        children = at.children
+        if isinstance(node, yaml.SequenceNode):
+            child = children.get(ANY_INDEX) or off_index(at, ANY_INDEX)
+            for i, item in enumerate(node.value):
                 n_paths += 1
                 if n_paths > MAX_PATHS:
                     raise _too_many_paths(item)
@@ -102,18 +100,15 @@ def _walk(
                 else:
                     counts[child] = n + 1
                 if not isinstance(item, yaml.ScalarNode):
-                    frame[1] = i + 1
-                    descend = item, prefix + (Index(i),), child
-                    break
+                    n_paths = visit(item, prefix + (Index(i),), child, depth + 1, n_paths)
         else:
-            rule = seen_at.rule
-            top_level = len(stack) == 1
-            for i in range(start, len(items)):
-                key_node, value = items[i]
+            rule = at.rule
+            top_level = depth == 1
+            keys: set[str] = set()
+            for key_node, value in node.value:
+                key = key_node.value
                 if top_level or not isinstance(key_node, yaml.ScalarNode):
                     key = _key_text(key_node, top_level)
-                else:
-                    key = key_node.value
                 if key in keys:
                     raise _duplicate_key(key_node, key)
                 keys.add(key)
@@ -121,7 +116,7 @@ def _walk(
                 if n_paths > MAX_PATHS:
                     raise _too_many_paths(key_node)
                 token = ANY_KEY if rule is not None and key not in rule.except_keys else key
-                child = children.get(token) or off_index(seen_at, token)
+                child = children.get(token) or off_index(at, token)
                 n = counts.get(child)
                 if n is None:
                     counts[child] = 1
@@ -130,21 +125,11 @@ def _walk(
                 else:
                     counts[child] = n + 1
                 if not isinstance(value, yaml.ScalarNode):
-                    frame[1] = i + 1
-                    descend = value, prefix + (Key(key),), child
-                    break
-        if descend is None:
-            stack.pop()
-            active.discard(id(node))
-            continue
-        value, path, child = descend
-        if id(value) in active:
-            raise _cycle(value)
-        if len(stack) >= MAX_DEPTH:
-            raise _too_deep(value)
-        active.add(id(value))
-        keys = set() if isinstance(value, yaml.MappingNode) else None
-        stack.append([value, 0, path, child, keys])
+                    n_paths = visit(value, prefix + (Key(key),), child, depth + 1, n_paths)
+        active.discard(id(node))
+        return n_paths
+
+    n_paths = visit(root, (), index.root, 1, 0)
     if not n_paths:
         raise WorkflowParseError("workflow mapping is empty")
     return counts, examples, n_paths
@@ -157,14 +142,14 @@ def scan_text(text: str, file: str, catalog: Catalog | None = None) -> ScanResul
     try:
         counts, examples, n_paths = _walk(compose_workflow(text), index)
     except WorkflowParseError as exc:
-        return ScanResult(file=file, error=exc, bag=None, metrics=None, validation=None)
+        return ScanResult(file, exc)
     bag = ConstructBag({node.construct: n for node, n in counts.items()}, n_paths)
     tally = tally_constructs([(node.text, node.construct, n, node.entry) for node, n in counts.items()])
     return ScanResult(
         file=file,
         error=None,
         bag=bag,
-        metrics=metrics_from_tally(tally, bag, index),
+        metrics=metrics_from_tally(tally, bag, index.feature_sizes),
         validation=tally.report(examples),
     )
 
@@ -174,10 +159,9 @@ def scan_file(path: str | Path, catalog: Catalog | None = None) -> ScanResult:
     try:
         text = read_workflow_text(path)
     except OSError as exc:
-        error = WorkflowParseError(f"cannot read file: {exc}")
-        return ScanResult(file=file, error=error, bag=None, metrics=None, validation=None)
+        return ScanResult(file, WorkflowParseError(f"cannot read file: {exc}"))
     except WorkflowParseError as exc:
-        return ScanResult(file=file, error=exc, bag=None, metrics=None, validation=None)
+        return ScanResult(file, exc)
     return scan_text(text, file, catalog)
 
 

@@ -416,6 +416,31 @@ def test_undecodable_sizes_file_exits_2(tmp_path, clienv):
     assert "cannot read sizes file" in result.output
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["reliability", "metrics", "--window", WINDOW, "--runs"], "cannot read runs file"),
+        (["reliability", "regress", "--window", WINDOW, "--sizes", "{sizes}", "--runs"],
+         "cannot read runs file"),
+        (["corpus", "evolve", "--from", "2023-01", "--to", "2023-05", "--manifest"],
+         "cannot read manifest"),
+        (["corpus", "trend", "--from", "2023-01", "--to", "2023-05", "--manifest"],
+         "cannot read manifest"),
+    ],
+    ids=["metrics-runs", "regress-runs", "evolve-manifest", "trend-manifest"],
+)
+def test_undecodable_runs_and_manifest_files_exit_2_naming_the_file(
+    tmp_path, clienv, capsys, args, message
+):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'{"a": 1}\n\xff\xfe\n')
+    args = [a.format(**clienv) for a in args]
+    assert run_main([*args, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"Error: {message} {bad}: 'utf-8' codec can't decode byte 0xff" in err
+    assert "Traceback" not in err
+
+
 def _sizes_record(workflow_id, **overrides):
     record = {
         "file": workflow_id, "valid": True, "n_paths": 10, "n_constructs": 5,

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wflens
+from wflens.instants import bundled_json
 from wflens.metrics import RATIO_CAP, SIZE_METRICS, metrics_to_dict, round4
 from wflens.model import MAX_PATHS
+
+from conftest import FIXTURES
 
 # Hand-tallied per-feature usage for the two-job matrix workflow:
 # (paths, constructs used, structural_only).
@@ -141,3 +144,16 @@ def test_round4():
     assert round4(None) is None
     assert round4(26 / 19) == 1.3684
     assert round4(1 / 3) == 0.3333
+
+
+def test_reference_chain_leaves_the_scan_index_uncompiled():
+    # The scan kernel is tested against this chain, so the chain must not use the kernel's index.
+    catalog = wflens.catalog_from_data(bundled_json("catalog.json"))
+    text = (FIXTURES / "kitchen.yml").read_text(encoding="utf-8")
+    paths = wflens.enumerate_paths(wflens.parse_workflow(text))
+    bag = wflens.abstract_workflow(paths, catalog.rules)
+    wflens.validate_workflow(bag, catalog, paths)
+    metrics = wflens.workflow_metrics(bag, catalog)
+    assert "index" not in vars(catalog)
+    assert wflens.scan_text(text, "kitchen.yml", catalog).metrics == metrics
+    assert "index" in vars(catalog)
