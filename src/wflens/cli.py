@@ -597,9 +597,7 @@ def reliability_regress(
 ) -> None:
     """Univariate outcome regressions on sizes or feature usage."""
     window = _parse_window(window_text)
-    records = _read(load_run_records, runs_path)
-    sizes, presence, path_counts = _read(load_scan_tables, sizes_path)
-    metrics = _all_metrics(records, window)
+    # usage errors come before any input is read; the usage band needs the scan records
     if analysis == "sizes" and features_text is not None:
         raise click.UsageError("--features only applies to --analysis features")
     wanted = None
@@ -608,6 +606,9 @@ def reliability_regress(
         unknown = [f for f in wanted if f not in FEATURES]
         if unknown:
             raise click.UsageError(f"unknown features: {', '.join(unknown)}")
+    records = _read(load_run_records, runs_path)
+    sizes, presence, path_counts = _read(load_scan_tables, sizes_path)
+    metrics = _all_metrics(records, window)
     try:
         if analysis == "sizes":
             rows = regress_sizes(sizes, metrics, min_runs=min_runs)

@@ -28,10 +28,9 @@ from .stats import (
     check_alpha,
     cliffs_delta,
     effect_table,
-    fit_binomial_logistic,
-    fit_negative_binomial,
     mann_whitney_u,
 )
+from .stats.glm import _as_design, _Binomial, _Counts, _fit_logistic, _fit_negbin
 
 log = logging.getLogger(__name__)
 
@@ -356,24 +355,30 @@ def _regression_rows(
 
     A table with fewer than 3 workflows of ``min_runs`` counted runs or a
     constant x, and a fit that did not converge, give no row.  A workflow
-    with no counted run is never used: it has no failure odds.
+    with no counted run is never used: it has no failure odds.  Each design
+    is checked once for both fits, and the two outcomes are prepared once
+    per set of usable workflows a table covers (usually one for all tables).
     """
     usable = {m.workflow_id: m for m in metrics if m.n_runs_counted >= max(min_runs, 1)}
     terms = ("intercept", "slope")
+    outcomes: dict[tuple[str, ...], tuple[_Binomial, _Counts]] = {}
     results = []
     for predictor, analysis, table in tables:
-        ids = [w for w in sorted(table) if w in usable]
+        ids = tuple(w for w in sorted(table) if w in usable)
         x = [float(table[w]) for w in ids]
         if len(ids) < 3 or len(set(x)) < 2:
             continue
-        rows = [usable[w] for w in ids]
-        design = np.column_stack([np.ones(len(x)), x])
-        failures = [m.n_failures for m in rows]
-        trials = [m.n_runs_counted for m in rows]
-        commits = [m.n_commits for m in rows]
+        design = _as_design(np.column_stack([np.ones(len(x)), x]))
+        if ids not in outcomes:
+            rows = [usable[w] for w in ids]
+            outcomes[ids] = (
+                _Binomial([m.n_failures for m in rows], [m.n_runs_counted for m in rows]),
+                _Counts([m.n_commits for m in rows]),
+            )
+        binomial, counts = outcomes[ids]
         fits = (
-            ("failure_rate", fit_binomial_logistic(design, failures, trials, terms=terms)),
-            ("n_commits", fit_negative_binomial(design, commits, terms=terms)),
+            ("failure_rate", _fit_logistic(design, binomial, terms)),
+            ("n_commits", _fit_negbin(design, counts, terms)),
         )
         for outcome, fit in fits:
             if fit.converged:

@@ -7,7 +7,9 @@ from eta to eta + d each term changes by a*d - b*log1p(c*expm1(d)), with
 a=s, b=t, c=sigmoid(eta) for the logistic and a=y, b=y+theta,
 c=mu/(theta+mu) for the negative binomial.  A fit left with a predictor at
 the clip is not converged.  Both take their standard errors from the Fisher
-information X'WX.
+information X'WX.  Each outcome is checked and prepared once
+(:class:`_Binomial`, :class:`_Counts`), so a caller fitting one outcome
+against many designs, as ``reliability`` does, shares it between fits.
 
 The negative binomial uses the NB2 parameterization (variance mu + mu^2/theta)
 with a log link; after each coefficient step the driver runs a safeguarded
@@ -19,6 +21,7 @@ counts T[k] = #{i : y_i > k}; no special function is needed.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +55,15 @@ def _term_names(terms, k: int) -> tuple[str, ...]:
     return names
 
 
+def _clip(eta: np.ndarray) -> np.ndarray:
+    """``eta`` clipped at +-_ETA_CLIP: np.clip's values, without its dispatch cost."""
+    return np.minimum(np.maximum(eta, -_ETA_CLIP), _ETA_CLIP)
+
+
+def _max_abs(v: np.ndarray) -> float:
+    return np.maximum.reduce(np.abs(v))
+
+
 def _irls(x, beta, family, after_step=None) -> dict:
     """IRLS from ``beta``; returns the :class:`GlmFit` fields both families share.
 
@@ -61,7 +73,7 @@ def _irls(x, beta, family, after_step=None) -> dict:
     settled.  The fit converges at a step below TOL with that parameter
     settled, within MAX_ITER iterations, and no predictor at the clip.
     """
-    eta = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
+    eta = _clip(x @ beta)
     ll, w, z, gain_terms = family(eta)
     trace = [ll]
     converged = False
@@ -73,23 +85,23 @@ def _irls(x, beta, family, after_step=None) -> dict:
         except np.linalg.LinAlgError:
             break
         # step halving keeps the likelihood trace nondecreasing
-        while _gain(x, eta, step, *gain_terms) < -1e-12 and np.max(np.abs(step)) > 1e-14:
+        while _gain(x, eta, step, *gain_terms) < -1e-12 and _max_abs(step) > 1e-14:
             step *= 0.5
         beta = beta + step
-        eta = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
+        eta = _clip(x @ beta)
         settled = after_step is None or after_step(eta)
         ll, w, z, gain_terms = family(eta)
         trace.append(ll)
-        if np.max(np.abs(step)) < TOL and settled:
+        if _max_abs(step) < TOL and settled:
             converged = True
             break
 
     # a predictor held at the clip stops the steps short of a finite optimum
-    clipped = np.max(np.abs(eta)) >= _ETA_CLIP
+    clipped = _max_abs(eta) >= _ETA_CLIP
     converged = converged and not clipped
     diagnostic = None
     if not converged:
-        if clipped or np.max(np.abs(beta)) > 25.0:
+        if clipped or _max_abs(beta) > 25.0:
             diagnostic = "no convergence: coefficients diverging, possible complete separation"
         else:
             diagnostic = f"no convergence after {iterations} iterations"
@@ -110,8 +122,8 @@ def _gain(x, eta, step, a, b, c) -> float:
     Summed per observation, it stays accurate far below the rounding of the
     total log-likelihood, as it is near convergence.
     """
-    d = np.clip(eta + x @ step, -_ETA_CLIP, _ETA_CLIP) - eta
-    return float(np.sum(a * d - b * np.log1p(c * np.expm1(d))))
+    d = _clip(eta + x @ step) - eta
+    return float(np.add.reduce(a * d - b * np.log1p(c * np.expm1(d))))
 
 
 def _standard_errors(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -119,26 +131,28 @@ def _standard_errors(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     info = (x.T * w) @ x
     try:
         cov = np.linalg.inv(info)
-        return np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        return np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         return np.full(x.shape[1], np.nan)
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(eta, -_ETA_CLIP, _ETA_CLIP)))
+    """1 / (1 + exp(-eta)) of a predictor that is already clipped."""
+    return 1.0 / (1.0 + np.exp(-eta))
 
 
 def _log_binomial_coefficients(successes: np.ndarray, trials: np.ndarray) -> float:
-    """Sum of log C(t, s) over the observations."""
-    return math.fsum(
-        math.lgamma(t + 1) - math.lgamma(s + 1) - math.lgamma(t - s + 1)
-        for s, t in zip(successes.tolist(), trials.tolist())
-    )
+    """Sum of log C(t, s) over the observations, with lgamma taken once per distinct value."""
+    s, t = successes.tolist(), trials.tolist()
+    r = [b - a for a, b in zip(s, t)]
+    # keyed by these very float objects, so that a NaN finds its own entry
+    log_factorial = {v: math.lgamma(v + 1) for v in {*s, *t, *r}}
+    return math.fsum(log_factorial[b] - log_factorial[a] - log_factorial[c] for a, b, c in zip(s, t, r))
 
 
 def _logistic_ll(eta, s, t, log_coef: float) -> float:
     # log-sigmoid form: log(1 - mu) taken from 1 - mu keeps only 1/exp(eta) of mu's digits
-    return log_coef + float(np.sum(s * eta - t * np.logaddexp(0.0, eta)))
+    return log_coef + float(np.add.reduce(s * eta - t * np.logaddexp(0.0, eta)))
 
 
 def logistic_log_likelihood(design, successes, trials, beta) -> float:
@@ -146,7 +160,7 @@ def logistic_log_likelihood(design, successes, trials, beta) -> float:
     s = np.asarray(successes, dtype=float)
     t = np.asarray(trials, dtype=float)
     eta = np.asarray(design, dtype=float) @ np.asarray(beta, dtype=float)
-    return _logistic_ll(np.clip(eta, -_ETA_CLIP, _ETA_CLIP), s, t, _log_binomial_coefficients(s, t))
+    return _logistic_ll(_clip(eta), s, t, _log_binomial_coefficients(s, t))
 
 
 def logistic_score(design, successes, trials, beta) -> np.ndarray:
@@ -155,15 +169,40 @@ def logistic_score(design, successes, trials, beta) -> np.ndarray:
     s = np.asarray(successes, dtype=float)
     t = np.asarray(trials, dtype=float)
     b = np.asarray(beta, dtype=float)
-    mu = _sigmoid(x @ b)
+    mu = _sigmoid(_clip(x @ b))
     return x.T @ (s - t * mu)
 
 
 def _logistic_family(eta, s, t, log_coef: float):
-    """Log-likelihood, IRLS weights, working response and :func:`_gain` terms at eta."""
+    """Log-likelihood, IRLS weights, working response and :func:`_gain` terms at the clipped eta."""
     mu = _sigmoid(eta)
-    w = np.maximum(t * mu * (1.0 - mu), 1e-12)
-    return _logistic_ll(eta, s, t, log_coef), w, eta + (s - t * mu) / w, (s, t, mu)
+    t_mu = t * mu
+    w = np.maximum(t_mu * (1.0 - mu), 1e-12)
+    return _logistic_ll(eta, s, t, log_coef), w, eta + (s - t_mu) / w, (s, t, mu)
+
+
+class _Binomial:
+    """Binomial outcome: ``s`` successes of ``t`` trials, checked once, and its log-binomial constant."""
+
+    def __init__(self, successes, trials):
+        s = np.asarray(successes, dtype=float)
+        t = np.asarray(trials, dtype=float)
+        if np.any(t <= 0) or np.any(s < 0) or np.any(s > t):
+            raise ValueError("need 0 <= successes <= trials and trials > 0")
+        self.s, self.t = s, t
+
+    @cached_property
+    def log_coef(self) -> float:
+        """Sum of log C(t, s); taken on first use, after the fitter has checked its terms."""
+        return _log_binomial_coefficients(self.s, self.t)
+
+
+def _fit_logistic(x: np.ndarray, outcome: _Binomial, terms) -> GlmFit:
+    """:func:`fit_binomial_logistic` on a checked design and a prepared outcome of its rows."""
+    names = _term_names(terms, x.shape[1])
+    s, t, log_coef = outcome.s, outcome.t, outcome.log_coef
+    fit = _irls(x, np.zeros(x.shape[1]), lambda eta: _logistic_family(eta, s, t, log_coef))
+    return GlmFit(family="binomial-logit", terms=names, dispersion=None, **fit)
 
 
 def fit_binomial_logistic(design, successes, trials, *, terms=None) -> GlmFit:
@@ -179,12 +218,7 @@ def fit_binomial_logistic(design, successes, trials, *, terms=None) -> GlmFit:
     t = np.asarray(trials, dtype=float)
     if s.shape != (x.shape[0],) or t.shape != (x.shape[0],):
         raise ValueError("successes and trials must match the design rows")
-    if np.any(t <= 0) or np.any(s < 0) or np.any(s > t):
-        raise ValueError("need 0 <= successes <= trials and trials > 0")
-    names = _term_names(terms, x.shape[1])
-    log_coef = _log_binomial_coefficients(s, t)
-    fit = _irls(x, np.zeros(x.shape[1]), lambda eta: _logistic_family(eta, s, t, log_coef))
-    return GlmFit(family="binomial-logit", terms=names, dispersion=None, **fit)
+    return _fit_logistic(x, _Binomial(s, t), terms)
 
 
 class _Counts:
@@ -194,6 +228,8 @@ class _Counts:
     log(theta+k) for k < y, so summed over the observations each NB gamma,
     digamma and trigamma term is a dot product with T: exact, and free of
     the cancellation between two large lgamma values near the theta cap.
+    The digamma terms at the two dispersion bounds, which every dispersion
+    solve evaluates, are kept.
     """
 
     def __init__(self, counts):
@@ -207,6 +243,21 @@ class _Counts:
         self.tails = at_least[1:].astype(float)
         self.k = np.arange(self.tails.size, dtype=float)
         self.log1p_k = np.log1p(self.k)
+        self.any_positive = self.tails.size > 0
+        self.digamma_at_bounds: dict[float, float] = {}
+        for bound in (_THETA_LO, _THETA_HI):
+            self.digamma_at_bounds[bound] = self.digamma_terms(bound)
+
+    @cached_property
+    def start(self) -> tuple[float, float]:
+        """Mean count and a fit's starting dispersion.
+
+        The dispersion is the moment estimate, or 100 without overdispersion.
+        """
+        mean = self.y.mean()
+        variance = self.y.var()
+        theta = mean**2 / (variance - mean) if variance > mean else 100.0
+        return mean, float(np.clip(theta, _THETA_LO, _THETA_HI))
 
     def log_gamma_terms(self, theta: float) -> float:
         """sum lgamma(y+theta) - n*lgamma(theta) - sum lgamma(y+1)."""
@@ -214,25 +265,29 @@ class _Counts:
 
     def digamma_terms(self, theta: float) -> float:
         """sum digamma(y+theta) - n*digamma(theta)."""
-        return float(self.tails @ (1.0 / (theta + self.k)))
+        at_bound = self.digamma_at_bounds.get(theta)
+        return float(self.tails @ (1.0 / (theta + self.k))) if at_bound is None else at_bound
 
     def trigamma_terms(self, theta: float) -> float:
         """n*trigamma(theta) - sum trigamma(y+theta)."""
         return float(self.tails @ (1.0 / (theta + self.k) ** 2))
 
 
-def _negbin_ll(mu: np.ndarray, counts: _Counts, theta: float) -> float:
-    y = counts.y
+def _negbin_ll(mu: np.ndarray, counts: _Counts, theta: float, theta_mu=None) -> float:
+    """NB2 log-likelihood at means ``mu``; ``theta_mu`` is theta + mu when the caller has it."""
+    if theta_mu is None:
+        theta_mu = theta + mu
     return counts.log_gamma_terms(theta) + float(
-        np.sum(theta * np.log(theta / (theta + mu)) + y * np.log(mu / (theta + mu)))
+        np.add.reduce(theta * np.log(theta / theta_mu) + counts.y * np.log(mu / theta_mu))
     )
 
 
 def _negbin_family(eta, counts: _Counts, theta: float):
     """Log-likelihood, IRLS weights, working response and :func:`_gain` terms at eta."""
     mu, y = np.exp(eta), counts.y
-    w = mu * theta / (theta + mu)
-    return _negbin_ll(mu, counts, theta), w, eta + (y - mu) / mu, (y, y + theta, mu / (theta + mu))
+    theta_mu = theta + mu
+    w = mu * theta / theta_mu
+    return _negbin_ll(mu, counts, theta, theta_mu), w, eta + (y - mu) / mu, (y, y + theta, mu / theta_mu)
 
 
 def negbin_log_likelihood(design, counts, beta, dispersion) -> float:
@@ -241,20 +296,21 @@ def negbin_log_likelihood(design, counts, beta, dispersion) -> float:
     Counts must be whole numbers.
     """
     eta = np.asarray(design, dtype=float) @ np.asarray(beta, dtype=float)
-    mu = np.exp(np.clip(eta, -_ETA_CLIP, _ETA_CLIP))
+    mu = np.exp(_clip(eta))
     return _negbin_ll(mu, _Counts(counts), float(dispersion))
 
 
 def _theta_score(theta: float, counts: _Counts, mu: np.ndarray) -> float:
-    y = counts.y
+    theta_mu = theta + mu
     return counts.digamma_terms(theta) + float(
-        np.sum(np.log(theta) + 1.0 - np.log(theta + mu) - (y + theta) / (theta + mu))
+        np.add.reduce(np.log(theta) + 1.0 - np.log(theta_mu) - (counts.y + theta) / theta_mu)
     )
 
 
 def _theta_slope(theta: float, counts: _Counts, mu: np.ndarray) -> float:
     """d/dtheta of :func:`_theta_score`."""
-    rest = float(np.sum(mu / (theta * (theta + mu)) - (mu - counts.y) / (theta + mu) ** 2))
+    theta_mu = theta + mu
+    rest = float(np.add.reduce(mu / (theta * theta_mu) - (mu - counts.y) / theta_mu**2))
     return rest - counts.trigamma_terms(theta)
 
 
@@ -287,29 +343,12 @@ def _update_theta(counts: _Counts, mu: np.ndarray, theta: float) -> tuple[float,
     return math.exp(u), None
 
 
-def fit_negative_binomial(design, counts, *, terms=None) -> GlmFit:
-    """Negative binomial (NB2) regression with a log link.
-
-    Alternates an IRLS step for the coefficients with a safeguarded Newton
-    solve of the dispersion score, started from the previous dispersion.
-    Converges as :func:`fit_binomial_logistic` does, with the dispersion
-    also settled to 1e-8 in log scale; a diagnostic names a dispersion held
-    at its bound.  Counts must be whole numbers; the cost of each likelihood
-    or score evaluation grows with the largest count.
-    """
-    x = _as_design(design)
-    y = np.asarray(counts, dtype=float)
-    if y.shape != (x.shape[0],):
-        raise ValueError("counts must match the design rows")
-    counts = _Counts(y)
-    if not np.any(y > 0):
+def _fit_negbin(x: np.ndarray, counts: _Counts, terms) -> GlmFit:
+    """:func:`fit_negative_binomial` on a checked design and prepared counts of its rows."""
+    if not counts.any_positive:
         raise ValueError("all counts are zero; the mean model is degenerate")
     names = _term_names(terms, x.shape[1])
-
-    mean = y.mean()
-    variance = y.var()
-    theta = mean**2 / (variance - mean) if variance > mean else 100.0
-    theta = float(np.clip(theta, _THETA_LO, _THETA_HI))
+    mean, theta = counts.start
     beta = np.zeros(x.shape[1])
     beta[0] = math.log(max(mean, 1e-8)) if np.allclose(x[:, 0], 1.0) else 0.0
 
@@ -324,6 +363,23 @@ def fit_negative_binomial(design, counts, *, terms=None) -> GlmFit:
     fit = _irls(x, beta, lambda eta: _negbin_family(eta, counts, theta), update_theta)
     fit["diagnostic"] = "; ".join(filter(None, (fit["diagnostic"], note))) or None
     return GlmFit(family="negative-binomial-log", terms=names, dispersion=theta, **fit)
+
+
+def fit_negative_binomial(design, counts, *, terms=None) -> GlmFit:
+    """Negative binomial (NB2) regression with a log link.
+
+    Alternates an IRLS step for the coefficients with a safeguarded Newton
+    solve of the dispersion score, started from the previous dispersion.
+    Converges as :func:`fit_binomial_logistic` does, with the dispersion
+    also settled to 1e-8 in log scale; a diagnostic names a dispersion held
+    at its bound.  Counts must be whole numbers; the cost of each likelihood
+    or score evaluation grows with the largest count.
+    """
+    x = _as_design(design)
+    y = np.asarray(counts, dtype=float)
+    if y.shape != (x.shape[0],):
+        raise ValueError("counts must match the design rows")
+    return _fit_negbin(x, _Counts(y), terms)
 
 
 def _exp(x: float) -> float:

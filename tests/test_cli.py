@@ -615,6 +615,26 @@ def test_feature_paths_too_far_apart_exit_2_and_the_band_rule_stays_a_usage_erro
     assert "usage band: deployment" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "options, code, message",
+    [
+        (["--analysis", "sizes", "--features", "commands"], 64, "--features only applies to --analysis features"),
+        (["--analysis", "features", "--features", "commands,nosuch"], 64, "unknown features: nosuch"),
+        # the usage band is read from the scan records, so an unreadable input comes first
+        (["--analysis", "features", "--features", "commands"], 2, "bad.jsonl:1: malformed"),
+    ],
+    ids=["features-with-sizes", "unknown-feature", "band-after-load"],
+)
+def test_regress_usage_errors_come_before_reading_the_inputs(tmp_path, clienv, capsys, options, code, message):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n", encoding="utf-8")
+    args = ["reliability", "regress", "--window", WINDOW, *options]
+    assert run_main([*args, "--runs", str(bad), "--sizes", clienv["sizes"]]) == code
+    assert message in capsys.readouterr().err
+    assert run_main([*args, "--runs", clienv["runs"], "--sizes", str(bad)]) == code
+    assert message in capsys.readouterr().err
+
+
 def doubling_anchors(lines):
     """Each line is a two-item list of aliases to the line before: paths double per line."""
     out = ["a0: &a0 [x, x]"]

@@ -395,6 +395,38 @@ def test_negative_binomial_rejects_non_whole_counts(bad):
         negbin_log_likelihood(design, bad, [0.0, 0.0], 1.0)
 
 
+_DESIGN3 = np.column_stack([np.ones(3), [0.0, 1.0, 2.0]])
+_BINOMIAL_RANGE = "need 0 <= successes <= trials and trials > 0"
+
+
+@pytest.mark.parametrize(
+    "fit, message",
+    [
+        (lambda: fit_binomial_logistic(_DESIGN3, [1, 4, 1], [3, 3, 3]), _BINOMIAL_RANGE),  # s > t
+        (lambda: fit_binomial_logistic(_DESIGN3, [0, 0, 0], [3, 0, 3]), _BINOMIAL_RANGE),  # t <= 0
+        (lambda: fit_binomial_logistic(_DESIGN3, [1, -1, 1], [3, 3, 3]), _BINOMIAL_RANGE),
+        (lambda: fit_binomial_logistic(_DESIGN3, [1, 1], [3, 3]), "successes and trials must match the design rows"),
+        (lambda: fit_binomial_logistic(_DESIGN3, [9, 9], [3, 3]), "successes and trials must match the design rows"),
+        (lambda: fit_binomial_logistic(_DESIGN3, [9, 1, 1], [3, 3, 3], terms=("a",)), _BINOMIAL_RANGE),
+        (lambda: fit_binomial_logistic(_DESIGN3, [1, 1, 1], [3, 3, 3], terms=("a",)),
+         "terms must name every design column"),
+        (lambda: fit_negative_binomial(_DESIGN3, [1, 2]), "counts must match the design rows"),
+        (lambda: fit_negative_binomial(_DESIGN3, [-1, -1]), "counts must match the design rows"),
+        (lambda: fit_negative_binomial(_DESIGN3, [1, -2, 3]), "counts must be non-negative"),
+        (lambda: fit_negative_binomial(_DESIGN3, [1, 2.5, 3], terms=("a",)), "counts must be whole numbers"),
+        (lambda: fit_negative_binomial(_DESIGN3, [0, 0, 0], terms=("a",)),
+         "all counts are zero; the mean model is degenerate"),
+        (lambda: fit_negative_binomial(_DESIGN3, [0, 1, 0], terms=("a",)), "terms must name every design column"),
+        (lambda: fit_negative_binomial(np.column_stack([np.ones(3), np.ones(3)]), [-1, 0, 0]),
+         "design matrix is rank deficient"),
+    ],
+)
+def test_fitters_check_their_inputs_in_order(fit, message):
+    with pytest.raises(ValueError) as excinfo:
+        fit()
+    assert str(excinfo.value) == message
+
+
 def test_negative_binomial_accepts_whole_floats():
     design = np.column_stack([np.ones(4), [0.0, 1.0, 2.0, 3.0]])
     as_ints = fit_negative_binomial(design, [1, 3, 2, 6])

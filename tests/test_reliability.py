@@ -412,3 +412,68 @@ def test_regress_sizes_skips_constant_metric():
     rows = wflens.regress_sizes(sizes, metrics)
     assert {r.predictor for r in rows} == {"n_paths"}
     assert rows == wflens.regress_sizes({"n_paths": sizes["n_paths"]}, metrics)
+
+
+def _reference_rows(tables, metrics, min_runs):
+    """Each table fitted on its own through the public fitters, then BH over all slopes."""
+    import numpy as np
+
+    from wflens.stats import bh_adjust, effect_table, fit_binomial_logistic, fit_negative_binomial
+
+    usable = {m.workflow_id: m for m in metrics if m.n_runs_counted >= max(min_runs, 1)}
+    slopes = []
+    for predictor, analysis, table in tables:
+        ids = [w for w in sorted(table) if w in usable]
+        x = [float(table[w]) for w in ids]
+        if len(ids) < 3 or len(set(x)) < 2:
+            continue
+        design = np.column_stack([np.ones(len(ids)), x])
+        rows = [usable[w] for w in ids]
+        fits = (
+            ("failure_rate", fit_binomial_logistic(
+                design, [m.n_failures for m in rows], [m.n_runs_counted for m in rows])),
+            ("n_commits", fit_negative_binomial(design, [m.n_commits for m in rows])),
+        )
+        slopes += [(predictor, outcome, analysis, len(ids), effect_table(fit)[1])
+                   for outcome, fit in fits if fit.converged]
+    adjusted = bh_adjust([slope.p_value for *_, slope in slopes])
+    return [
+        (*key, *(v.hex() for v in (s.ratio, s.ci_low, s.ci_high, s.p_value, p)))
+        for (*key, s), p in zip(slopes, adjusted)
+    ]
+
+
+def _row_bits(rows):
+    return [
+        (r.predictor, r.outcome, r.analysis, r.n,
+         *(float(v).hex() for v in (r.ratio, r.ci_low, r.ci_high, r.p_raw, r.p_adjusted)))
+        for r in rows
+    ]
+
+
+@pytest.mark.parametrize("min_runs", [3, 6])
+def test_shared_outcomes_give_the_public_fitters_bits(min_runs):
+    sizes, metrics = _regression_inputs(n=120, seed=11)
+    ids = sorted(sizes["n_paths"])
+    # n_constructs misses every fifth workflow, so its tables cover another set of workflows
+    sizes["n_constructs"] = {w: float(int(sizes["n_paths"][w] ** 0.8)) for w in ids[::5] + ids[1::5]}
+    sizes["n_features"] = {w: float(i % 9 + 2) for i, w in enumerate(ids)}
+    presence = {
+        "commands": {w: sizes["n_paths"][w] > 40 for w in ids},
+        "permissions": {w: i % 3 == 0 for i, w in enumerate(ids)},
+    }
+    path_counts = {
+        "commands": {w: int(sizes["n_paths"][w] // 10) for w in ids},
+        "permissions": {w: i % 7 for i, w in enumerate(ids) if i % 4},
+    }
+
+    rows = wflens.regress_sizes(sizes, metrics, min_runs=min_runs)
+    tables = [(m, "size", sizes[m]) for m in ("n_paths", "n_constructs", "n_features")]
+    assert len({r.n for r in rows}) == 2
+    assert _row_bits(rows) == _reference_rows(tables, metrics, min_runs)
+
+    rows = wflens.regress_features(presence, path_counts, metrics, min_runs=min_runs)
+    tables = [(f, a, t[f]) for f in ("commands", "permissions")
+              for a, t in (("presence", presence), ("per_path", path_counts))]
+    assert len({r.n for r in rows}) == 2
+    assert _row_bits(rows) == _reference_rows(tables, metrics, min_runs)
