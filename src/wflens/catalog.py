@@ -120,7 +120,6 @@ class ScanIndex:
         self.rules = catalog.rules
         self.root = ConstructNode((), self.rules.rule_for(()), "")
         self.feature_sizes = catalog.feature_sizes()
-        self.size = 1
         for construct, entry in catalog.entries.items():
             node = self.root
             for segment in construct:
@@ -130,7 +129,6 @@ class ScanIndex:
                 child = node.children.get(token)
                 if child is None:
                     child = node.children[token] = self.extend(node, token)
-                    self.size += 1
                 node = child
             else:
                 node.entry = entry
@@ -359,7 +357,8 @@ def validate_workflow(
         for path in paths:
             construct = abstract_path(path, catalog.rules)
             examples.setdefault(construct, path)
-    return tally_constructs(bag_rows(bag, catalog)).report(examples)
+    tally = tally_constructs(bag_rows(bag, catalog))
+    return ValidationReport(tally.known, tuple((c, examples.get(c)) for c in tally.unknown))
 
 
 Row = tuple[str, Construct, int, "CatalogEntry | None"]
@@ -382,9 +381,6 @@ class ConstructTally:
     known: tuple[Construct, ...]
     unknown: tuple[Construct, ...]
     features: dict[str, list[int]]
-
-    def report(self, examples: dict[Construct, ConcretePath]) -> ValidationReport:
-        return ValidationReport(self.known, tuple((c, examples.get(c)) for c in self.unknown))
 
 
 def tally_constructs(rows: Iterable[Row]) -> ConstructTally:

@@ -334,34 +334,34 @@ def corpus_stats_cmd(paths: tuple[str, ...], catalog_path: str | None) -> None:
     _exit_if_failed(results)
 
 
-def _metric_value(metrics: WorkflowMetrics, metric: str) -> float:
-    if metric.startswith("usage:"):
-        feature = metric.split(":", 1)[1]
-        return 1.0 if metrics.per_feature[feature].present else 0.0
-    return float(metrics.size_metric(metric))
-
-
-def _check_metric_name(metric: str) -> None:
+def _metric_reader(metric: str) -> Callable[[WorkflowMetrics], float]:
+    """The reader of ``metric``, a size metric or ``usage:<feature>``, from one workflow's metrics."""
     if metric in SIZE_METRICS:
-        return
-    if metric.startswith("usage:") and metric.split(":", 1)[1] in FEATURES:
-        return
+        return lambda metrics: metrics.size_metric(metric)
+    kind, _, feature = metric.partition(":")
+    if kind == "usage" and feature in FEATURES:
+        return lambda metrics: 1.0 if metrics.per_feature[feature].present else 0.0
     raise click.UsageError(
         f"unknown metric {metric!r}; use one of {', '.join(SIZE_METRICS)} or usage:<feature>"
     )
 
 
+def _months(start: str, end: str) -> list[str]:
+    try:
+        return month_range(start, end)
+    except ValueError as exc:
+        raise click.UsageError(f"bad --from/--to: {exc}") from exc
+
+
 def _monthly_values(
-    manifest: str, start: str, end: str, metric: str, catalog: Catalog
+    manifest: str, months: list[str], read: Callable[[WorkflowMetrics], float], catalog: Catalog
 ) -> list[tuple[str, list[float]]]:
     try:
-        intervals = load_history_manifest(manifest)
-        months = month_range(start, end)
-        snapshots = materialize_snapshots(intervals, months)
+        snapshots = materialize_snapshots(load_history_manifest(manifest), months)
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 
-    cache: dict[str, WorkflowMetrics] = {}
+    cache: dict[str, float] = {}
     values_by_month: list[tuple[str, list[float]]] = []
     for month in months:
         values: list[float] = []
@@ -370,8 +370,8 @@ def _monthly_values(
                 result = scan_file(interval.file, catalog)
                 if result.metrics is None:
                     raise InputError(f"{interval.file}: {result.error}")
-                cache[interval.file] = result.metrics
-            values.append(_metric_value(cache[interval.file], metric))
+                cache[interval.file] = read(result.metrics)
+            values.append(cache[interval.file])
         values_by_month.append((month, values))
     return values_by_month
 
@@ -401,9 +401,10 @@ def corpus_evolve(
     manifest: str, start: str, end: str, metric: str, catalog_path: str | None, fmt: str
 ) -> None:
     """Monthly aggregates of one metric over snapshotted corpora."""
-    _check_metric_name(metric)
+    read = _metric_reader(metric)
+    months = _months(start, end)
     catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
-    values_by_month = _monthly_values(manifest, start, end, metric, catalog)
+    values_by_month = _monthly_values(manifest, months, read, catalog)
     series = evolution_series(values_by_month, metric)
 
     if fmt == "json":
@@ -444,9 +445,10 @@ def corpus_trend(
     alpha: float,
 ) -> None:
     """Mann-Kendall monotonic-trend test on a monthly aggregate."""
-    _check_metric_name(metric)
+    read = _metric_reader(metric)
+    months = _months(start, end)
     catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
-    values_by_month = _monthly_values(manifest, start, end, metric, catalog)
+    values_by_month = _monthly_values(manifest, months, read, catalog)
     series = evolution_series(values_by_month, metric)
     used = [p for p in series.points if p.n > 0]
     values = [getattr(p, agg) for p in used]

@@ -154,8 +154,14 @@ def load_history_manifest(path: str | Path) -> list[HistoryInterval]:
 
 def month_start(month: str) -> datetime:
     """First UTC instant of a YYYY-MM month."""
-    year, mon = month.split("-")
-    return datetime(int(year), int(mon), 1, tzinfo=timezone.utc)
+    parts = month.split("-")
+    if len(parts) != 2:
+        raise ValueError(f"month must look like YYYY-MM, not {month!r}")
+    year, mon = parts
+    try:
+        return datetime(int(year), int(mon), 1, tzinfo=timezone.utc)
+    except OverflowError as exc:  # a year or month past a C long
+        raise ValueError(f"month {month!r} is out of range") from exc
 
 
 def month_range(start: str, end: str) -> list[str]:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .catalog import FEATURES
 from .instants import bundled_json, expect
-from .metrics import SIZE_METRICS, WorkflowMetrics
+from .metrics import SIZE_METRICS, FeatureUsage, WorkflowMetrics
 
 CAVEAT = "This is an association observed across workflows, not a causal guarantee."
 
@@ -182,65 +182,51 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
-def _feature_diagnostics(
-    metrics: WorkflowMetrics, model: RiskModel, file: str
-) -> list[Diagnostic]:
-    out = []
-    for feature in FEATURES:
-        effect = model.feature_effects.get(feature)
-        if effect is None:
-            continue
-        usage = metrics.per_feature[feature]
-        # Purely structural presence (the jobs/steps scaffolding every
-        # workflow has) does not signal feature use.
-        if not usage.present or usage.structural_only:
-            continue
-        evidence = {
-            "feature": feature,
-            "n_paths": usage.n_paths,
-            "presence_or": effect.presence_or,
-            "presence_irr": effect.presence_irr,
-            "per_path_or": effect.per_path_or,
-            "per_path_irr": effect.per_path_irr,
-        }
-        title = feature.replace("_", " ")
-        if effect.presence_or is not None and effect.presence_or > 1:
-            irr_part = (
-                f" and {effect.presence_irr}x maintenance commits"
-                if effect.presence_irr is not None
-                else ""
-            )
-            out.append(
-                Diagnostic(
-                    rule_id=_FEATURE_CODES[feature],
-                    severity="warn",
-                    file=file,
-                    message=(
-                        f"uses {title}: associated with {effect.presence_or}x failure"
-                        f" odds{irr_part}. {CAVEAT}"
-                    ),
-                    evidence=evidence,
-                )
-            )
-        elif effect.presence_irr is not None and effect.presence_irr > 1:
-            or_part = (
-                f" lower failure odds ({effect.presence_or}x) but"
-                if effect.presence_or is not None
-                else ""
-            )
-            out.append(
-                Diagnostic(
-                    rule_id=_FEATURE_CODES[feature],
-                    severity="info",
-                    file=file,
-                    message=(
-                        f"uses {title}: associated with{or_part}"
-                        f" {effect.presence_irr}x maintenance commits. {CAVEAT}"
-                    ),
-                    evidence=evidence,
-                )
-            )
-    return out
+def _feature_diagnostic(
+    feature: str, usage: FeatureUsage, effect: FeatureEffect, file: str
+) -> Diagnostic | None:
+    evidence = {
+        "feature": feature,
+        "n_paths": usage.n_paths,
+        "presence_or": effect.presence_or,
+        "presence_irr": effect.presence_irr,
+        "per_path_or": effect.per_path_or,
+        "per_path_irr": effect.per_path_irr,
+    }
+    title = feature.replace("_", " ")
+    if effect.presence_or is not None and effect.presence_or > 1:
+        irr_part = (
+            f" and {effect.presence_irr}x maintenance commits"
+            if effect.presence_irr is not None
+            else ""
+        )
+        return Diagnostic(
+            rule_id=_FEATURE_CODES[feature],
+            severity="warn",
+            file=file,
+            message=(
+                f"uses {title}: associated with {effect.presence_or}x failure"
+                f" odds{irr_part}. {CAVEAT}"
+            ),
+            evidence=evidence,
+        )
+    if effect.presence_irr is not None and effect.presence_irr > 1:
+        or_part = (
+            f" lower failure odds ({effect.presence_or}x) but"
+            if effect.presence_or is not None
+            else ""
+        )
+        return Diagnostic(
+            rule_id=_FEATURE_CODES[feature],
+            severity="info",
+            file=file,
+            message=(
+                f"uses {title}: associated with{or_part}"
+                f" {effect.presence_irr}x maintenance commits. {CAVEAT}"
+            ),
+            evidence=evidence,
+        )
+    return None
 
 
 def evaluate(
@@ -255,20 +241,23 @@ def evaluate(
     if model is None:
         model = default_risk_model()
     diagnostics = _size_diagnostics(metrics, model, file)
-    diagnostics.extend(_feature_diagnostics(metrics, model, file))
-    diagnostics.sort(key=lambda d: (d.rule_id, d.file))
-
     failure_odds = 1.0
     commit_rate = 1.0
     for feature in FEATURES:
         effect = model.feature_effects.get(feature)
         usage = metrics.per_feature[feature]
+        # Purely structural presence (the jobs/steps scaffolding every
+        # workflow has) does not signal feature use.
         if effect is None or not usage.present or usage.structural_only:
             continue
         if effect.presence_or is not None:
             failure_odds *= effect.presence_or
         if effect.presence_irr is not None:
             commit_rate *= effect.presence_irr
+        diagnostic = _feature_diagnostic(feature, usage, effect, file)
+        if diagnostic is not None:
+            diagnostics.append(diagnostic)
+    diagnostics.sort(key=lambda d: (d.rule_id, d.file))
     summary = RiskSummary(relative_failure_odds=failure_odds, relative_commit_rate=commit_rate)
     return diagnostics, summary
 

@@ -7,14 +7,13 @@ from pathlib import Path
 
 import yaml
 
-from .abstraction import Construct, ConstructBag
+from .abstraction import ConstructBag
 from .catalog import (
     ANY_INDEX,
     ANY_KEY,
     Catalog,
     ConstructNode,
     ScanIndex,
-    ValidationReport,
     default_catalog,
     tally_constructs,
 )
@@ -22,9 +21,6 @@ from .metrics import WorkflowMetrics, metrics_from_tally, metrics_to_dict
 from .model import (
     MAX_DEPTH,
     MAX_PATHS,
-    ConcretePath,
-    Index,
-    Key,
     WorkflowParseError,
     _cycle,
     _duplicate_key,
@@ -42,7 +38,6 @@ class ScanResult:
     error: WorkflowParseError | None
     bag: ConstructBag | None = None  # the other fields are None when error is set
     metrics: WorkflowMetrics | None = None
-    validation: ValidationReport | None = None
 
     @property
     def parsed(self) -> bool:
@@ -51,24 +46,21 @@ class ScanResult:
     @property
     def valid(self) -> bool:
         """Parses and every construct is catalog-known."""
-        return self.parsed and self.validation is not None and self.validation.is_language_valid
+        return self.metrics is not None and not self.metrics.unknown_constructs
 
 
-def _walk(
-    root: yaml.MappingNode, index: ScanIndex
-) -> tuple[dict[ConstructNode, int], dict[Construct, ConcretePath], int]:
-    """Construct counts, first example paths of unknown constructs and path total.
+def _walk(root: yaml.MappingNode, index: ScanIndex) -> tuple[dict[ConstructNode, int], int]:
+    """Construct counts and path total.
 
-    One pre-order walk gives what ``enumerate_paths`` → ``abstract_workflow``
-    → ``validate_workflow`` give for ``parse_workflow``'s tree, and raises
-    the same first error, but builds no tree and no path list.  Counts are
-    keyed by index node in the order the constructs are first met; a
-    construct outside the index gets a node of this walk's own.  It recurses
-    once per collection, so it needs :data:`MAX_DEPTH` frames of headroom;
+    One pre-order walk gives the construct bag that ``enumerate_paths`` →
+    ``abstract_workflow`` give for ``parse_workflow``'s tree, and raises the
+    same first error, but builds no tree and no path list.  Counts are keyed
+    by index node in the order the constructs are first met; a construct
+    outside the index gets a node of this walk's own.  It recurses once per
+    collection, so it needs :data:`MAX_DEPTH` frames of headroom;
     ``active`` holds the collections on the path, for the cycle check.
     """
     counts: dict[ConstructNode, int] = {}
-    examples: dict[Construct, ConcretePath] = {}
     own: dict[tuple[ConstructNode, object], ConstructNode] = {}
     active: set[int] = set()
 
@@ -78,8 +70,8 @@ def _walk(
             child = own[parent, token] = index.extend(parent, token)
         return child
 
-    def visit(node: yaml.Node, prefix: ConcretePath, at: ConstructNode, depth: int, n_paths: int) -> int:
-        """Count the paths below ``node``, the collection at ``prefix``; the path total after them."""
+    def visit(node: yaml.Node, at: ConstructNode, depth: int, n_paths: int) -> int:
+        """Count the paths below ``node``, a collection of construct ``at``; the path total after them."""
         if id(node) in active:
             raise _cycle(node)
         if depth > MAX_DEPTH:
@@ -88,19 +80,13 @@ def _walk(
         children = at.children
         if isinstance(node, yaml.SequenceNode):
             child = children.get(ANY_INDEX) or off_index(at, ANY_INDEX)
-            for i, item in enumerate(node.value):
+            for item in node.value:
                 n_paths += 1
                 if n_paths > MAX_PATHS:
                     raise _too_many_paths(item)
-                n = counts.get(child)
-                if n is None:
-                    counts[child] = 1
-                    if child.entry is None:
-                        examples[child.construct] = prefix + (Index(i),)
-                else:
-                    counts[child] = n + 1
+                counts[child] = counts.get(child, 0) + 1
                 if not isinstance(item, yaml.ScalarNode):
-                    n_paths = visit(item, prefix + (Index(i),), child, depth + 1, n_paths)
+                    n_paths = visit(item, child, depth + 1, n_paths)
         else:
             rule = at.rule
             top_level = depth == 1
@@ -117,22 +103,16 @@ def _walk(
                     raise _too_many_paths(key_node)
                 token = ANY_KEY if rule is not None and key not in rule.except_keys else key
                 child = children.get(token) or off_index(at, token)
-                n = counts.get(child)
-                if n is None:
-                    counts[child] = 1
-                    if child.entry is None:
-                        examples[child.construct] = prefix + (Key(key),)
-                else:
-                    counts[child] = n + 1
+                counts[child] = counts.get(child, 0) + 1
                 if not isinstance(value, yaml.ScalarNode):
-                    n_paths = visit(value, prefix + (Key(key),), child, depth + 1, n_paths)
+                    n_paths = visit(value, child, depth + 1, n_paths)
         active.discard(id(node))
         return n_paths
 
-    n_paths = visit(root, (), index.root, 1, 0)
+    n_paths = visit(root, index.root, 1, 0)
     if not n_paths:
         raise WorkflowParseError("workflow mapping is empty")
-    return counts, examples, n_paths
+    return counts, n_paths
 
 
 def scan_text(text: str, file: str, catalog: Catalog | None = None) -> ScanResult:
@@ -140,18 +120,12 @@ def scan_text(text: str, file: str, catalog: Catalog | None = None) -> ScanResul
         catalog = default_catalog()
     index = catalog.index
     try:
-        counts, examples, n_paths = _walk(compose_workflow(text), index)
+        counts, n_paths = _walk(compose_workflow(text), index)
     except WorkflowParseError as exc:
         return ScanResult(file, exc)
     bag = ConstructBag({node.construct: n for node, n in counts.items()}, n_paths)
     tally = tally_constructs([(node.text, node.construct, n, node.entry) for node, n in counts.items()])
-    return ScanResult(
-        file=file,
-        error=None,
-        bag=bag,
-        metrics=metrics_from_tally(tally, bag, index.feature_sizes),
-        validation=tally.report(examples),
-    )
+    return ScanResult(file, None, bag, metrics_from_tally(tally, bag, index.feature_sizes))
 
 
 def scan_file(path: str | Path, catalog: Catalog | None = None) -> ScanResult:

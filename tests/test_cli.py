@@ -72,6 +72,17 @@ def test_scan_parse_failure_exits_2():
     assert record["error"]["line"] == 2
 
 
+def test_scan_parsed_file_with_unknown_construct_is_not_valid(tmp_path):
+    workflow = tmp_path / "odd.yml"
+    workflow.write_text("on: push\nfrobnicate: 1\njobs:\n  b:\n    runs-on: x\n", encoding="utf-8")
+    result = invoke(["scan", "--format", "jsonl", str(workflow)])
+    assert result.exit_code == 0, result.output
+    (record,) = [json.loads(line) for line in result.output.splitlines()]
+    assert record["valid"] is False
+    assert "error" not in record
+    assert record["unknown_constructs"] == ["frobnicate"]
+
+
 def test_scan_mixed_good_and_bad_still_reports_both():
     result = invoke(["scan", str(FIXTURES / "tiny.yml"), str(FIXTURES / "broken.yml")])
     assert result.exit_code == 2
@@ -212,6 +223,31 @@ def test_corpus_trend_too_few_months_exits_2():
         ["corpus", "trend", "--manifest", MANIFEST, "--from", "2023-01", "--to", "2023-04"]
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "start, end, message",
+    [
+        ("2023-13", "2023-05", "month must be in 1..12"),
+        ("2023", "2023-05", "month must look like YYYY-MM, not '2023'"),
+        ("2023-01", "99999-01", "year 99999 is out of range"),
+        ("2023-01", "99999999999999999999-01", "is out of range"),
+        ("2023-05", "2023-01", "month range 2023-05..2023-01 is reversed"),
+    ],
+    ids=["month-13", "no-month", "year-99999", "year-past-c-long", "reversed"],
+)
+@pytest.mark.parametrize("command", ["evolve", "trend"])
+def test_bad_month_range_is_a_usage_error_before_the_manifest_is_read(
+    tmp_path, capsys, command, start, end, message
+):
+    bad = tmp_path / "manifest.jsonl"
+    bad.write_text((FIXTURES / "history" / "manifest.jsonl").read_text(encoding="utf-8") + "not json\n", encoding="utf-8")
+    for manifest in (MANIFEST, str(bad)):
+        args = ["corpus", command, "--manifest", manifest, "--from", start, "--to", end]
+        assert run_main(args) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err and "Traceback" not in err
 
 
 # ------------------------------------------------------------ reliability

@@ -121,7 +121,7 @@ def test_kernel_metrics_match_reference_chain(path, catalog):
     bag = wflens.abstract_workflow(wflens.enumerate_paths(wflens.parse_workflow(text)), catalog.rules)
     assert result.bag == bag
     assert result.metrics == wflens.workflow_metrics(bag, catalog)
-    assert wflens.validate_workflow(bag, catalog).known == result.validation.known
+    assert result.valid == wflens.validate_workflow(bag, catalog).is_language_valid
 
 
 def test_pure_python_kernel_loader_gives_the_same_results(monkeypatch, catalog):
@@ -147,7 +147,6 @@ def test_default_and_extracted_catalogs_share_no_nodes(two_files):
 def test_unknown_keys_leave_the_shared_index_unchanged():
     catalog = fresh_catalog()
     before = index_nodes(catalog)
-    assert len(before) == catalog.index.size
     children = {id(n): dict(n.children) for n in before}
     for i in range(50):
         text = (
@@ -157,7 +156,7 @@ def test_unknown_keys_leave_the_shared_index_unchanged():
         result = wflens.scan_text(text, f"f{i}.yml", catalog)
         assert f"weird_{i}.deep_{i}[*].x" in wflens.scan_record(result)["unknown_constructs"]
     after = index_nodes(catalog)
-    assert len(after) == len(before) == catalog.index.size
+    assert len(after) == len(before)
     assert {id(n): dict(n.children) for n in after} == children
 
 

@@ -3,8 +3,8 @@
 ``scan_text`` walks the composed YAML node graph once.  The reference is
 the public chain ``parse_workflow`` → ``enumerate_paths`` →
 ``abstract_workflow`` → ``validate_workflow(..., paths)``; both must give
-the same construct bag, path total, known and unknown constructs with
-example paths, and the same first error with its mark.
+the same construct bag, path total and unknown constructs, and the same
+first error with its mark.
 """
 
 import os
@@ -35,15 +35,14 @@ def reference(text):
         return ("error", exc.message, exc.line, exc.column)
     bag = wflens.abstract_workflow(paths, CATALOG.rules)
     report = wflens.validate_workflow(bag, CATALOG, paths)
-    return list(bag.counts.items()), bag.total_paths, report.known, report.unknown
+    return list(bag.counts.items()), bag.total_paths, tuple(c for c, _ in report.unknown)
 
 
 def kernel(text):
     result = wflens.scan_text(text, "doc.yml", CATALOG)
     if result.error is not None:
         return ("error", result.error.message, result.error.line, result.error.column)
-    report = result.validation
-    return list(result.bag.counts.items()), result.bag.total_paths, report.known, report.unknown
+    return list(result.bag.counts.items()), result.bag.total_paths, result.metrics.unknown_constructs
 
 
 # ------------------------------------------------------------ generated documents
