@@ -19,20 +19,40 @@ from .model import ConcretePath, Index, Key, _parse_segments
 PLACEHOLDER_KINDS = ("id", "var", "param", "s_id")
 
 
-@dataclass(frozen=True, slots=True)
-class Wildcard:
-    """An abstracted sequence index, rendered ``[*]``."""
+class Wildcard(tuple):
+    """An abstracted sequence index, rendered ``[*]``: the tuple ``("wildcard",)``."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> Wildcard:
+        return tuple.__new__(cls, ("wildcard",))
+
+    def __getnewargs__(self) -> tuple[()]:
+        return ()
+
+    def __repr__(self) -> str:
+        return "Wildcard()"
 
 
-@dataclass(frozen=True, slots=True)
-class Placeholder:
-    """An abstracted user-chosen key, rendered ``<kind>``."""
+class Placeholder(tuple):
+    """An abstracted user-chosen key, rendered ``<kind>``: the tuple ``("placeholder", kind)``."""
 
-    kind: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in PLACEHOLDER_KINDS:
-            raise ValueError(f"unknown placeholder kind {self.kind!r}")
+    def __new__(cls, kind: str) -> Placeholder:
+        if kind not in PLACEHOLDER_KINDS:
+            raise ValueError(f"unknown placeholder kind {kind!r}")
+        return tuple.__new__(cls, ("placeholder", kind))
+
+    @property
+    def kind(self) -> str:
+        return self[1]
+
+    def __getnewargs__(self) -> tuple[str]:
+        return (self[1],)
+
+    def __repr__(self) -> str:
+        return f"Placeholder(kind={self[1]!r})"
 
 
 AbstractSegment = Union[Key, Wildcard, Placeholder]

@@ -10,8 +10,9 @@ import csv
 import io
 import json
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from datetime import datetime
+from itertools import chain
 from pathlib import Path
 from typing import TypeVar
 
@@ -71,6 +72,10 @@ def _emit_json(data: object) -> None:
     click.echo(dumps_indented(data))
 
 
+_json_line = json.JSONEncoder(sort_keys=True).encode
+"""``json.dumps(value, sort_keys=True)`` without building an encoder per call."""
+
+
 def _load(what: str, load: Callable[[str], T], path: str | None, default: Callable[[], T]) -> T:
     """``default()`` without a path, else ``load(path)`` with its faults, deep JSON too, as input errors."""
     if path is None:
@@ -89,17 +94,15 @@ def _read(load: Callable[[str], T], path: str) -> T:
         raise InputError(str(exc)) from exc
 
 
-def _parsed(results: list[ScanResult]) -> list[ScanResult]:
-    """The results that parsed, after writing each failure to stderr."""
-    for r in results:
-        if not r.parsed:
-            click.echo(f"{r.file}: {r.error}", err=True)
-    return [r for r in results if r.parsed]
-
-
-def _exit_if_failed(results: list[ScanResult]) -> None:
-    if any(not r.parsed for r in results):
-        sys.exit(2)
+def _parsed(files: list[str], catalog: Catalog, failed: list[str]) -> Iterator[ScanResult]:
+    """Scan ``files`` one at a time and yield those that parse; each failure goes to stderr and ``failed``."""
+    for file in files:
+        result = scan_file(file, catalog)
+        if result.parsed:
+            yield result
+        else:
+            click.echo(f"{result.file}: {result.error}", err=True)
+            failed.append(result.file)
 
 
 def _expand_paths(paths: tuple[str, ...]) -> list[str]:
@@ -196,10 +199,11 @@ def scan(paths: tuple[str, ...], catalog_path: str | None, fmt: str) -> None:
     if fmt == "json":
         _emit_json(records)
     elif fmt == "jsonl":
-        click.echo("\n".join([json.dumps(record, sort_keys=True) for record in records]))
+        click.echo("\n".join([_json_line(record) for record in records]))
     else:
         click.echo("\n".join([_scan_line(record) for record in records]))
-    _exit_if_failed(results)
+    if any(not r.parsed for r in results):
+        sys.exit(2)
 
 
 # ---------------------------------------------------------------- lint
@@ -223,11 +227,11 @@ def lint(paths: tuple[str, ...], catalog_path: str | None, model_path: str | Non
     """Flag workflow traits associated with worse run outcomes."""
     catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
     model = _load("risk model", load_risk_model, model_path, default_risk_model)
-    results = [scan_file(f, catalog) for f in _expand_paths(paths)]
+    failed: list[str] = []
 
     diagnostics = []
     risk: dict[str, dict] = {}
-    for result in _parsed(results):
+    for result in _parsed(_expand_paths(paths), catalog, failed):
         diags, summary = evaluate(result.metrics, model, file=result.file)
         diagnostics.extend(diags)
         risk[result.file] = {
@@ -252,7 +256,8 @@ def lint(paths: tuple[str, ...], catalog_path: str | None, model_path: str | Non
         )
         if lines:
             click.echo("\n".join(lines))
-    _exit_if_failed(results)
+    if failed:
+        sys.exit(2)
     if any(d.severity == "warn" for d in diagnostics):
         sys.exit(1)
 
@@ -284,12 +289,13 @@ def catalog_validate(catalog_path: str | None) -> None:
 def catalog_extract(paths: tuple[str, ...], catalog_path: str | None) -> None:
     """Build a catalog skeleton from the constructs observed in files."""
     catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
-    results = [scan_file(f, catalog) for f in _expand_paths(paths)]
-    bags = [r.bag for r in _parsed(results)]
+    failed: list[str] = []
+    bags = [r.bag for r in _parsed(_expand_paths(paths), catalog, failed)]
     if not bags:
         raise InputError("no workflow files could be parsed")
     _emit_json(catalog_to_data(extract_catalog(bags, rules=catalog.rules)))
-    _exit_if_failed(results)
+    if failed:
+        sys.exit(2)
 
 
 @catalog_group.command("classify")
@@ -326,12 +332,14 @@ def corpus_group() -> None:
 def corpus_stats_cmd(paths: tuple[str, ...], catalog_path: str | None) -> None:
     """Frequency, concentration, and size distributions of a corpus."""
     catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
-    results = [scan_file(f, catalog) for f in _expand_paths(paths)]
-    scans = [(r.metrics, r.bag) for r in _parsed(results)]
-    if not scans:
+    failed: list[str] = []
+    scans = ((r.metrics, r.bag) for r in _parsed(_expand_paths(paths), catalog, failed))
+    first = next(scans, None)
+    if first is None:
         raise InputError("no workflow files could be parsed")
-    _emit_json(corpus_stats_to_dict(corpus_stats(scans)))
-    _exit_if_failed(results)
+    _emit_json(corpus_stats_to_dict(corpus_stats(chain((first,), scans))))
+    if failed:
+        sys.exit(2)
 
 
 def _metric_reader(metric: str) -> Callable[[WorkflowMetrics], float]:
@@ -526,7 +534,7 @@ def reliability_metrics_cmd(runs_path: str, window_text: str, fmt: str) -> None:
     if fmt == "json":
         _emit_json(rows)
     elif rows:
-        click.echo("\n".join(json.dumps(row, sort_keys=True) for row in rows))
+        click.echo("\n".join([_json_line(row) for row in rows]))
 
 
 @reliability_group.command("compare")

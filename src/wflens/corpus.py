@@ -1,6 +1,6 @@
 """Corpus-level usage statistics and monthly evolution series.
 
-A corpus is a list of scanned workflows (construct bag + metrics).  History
+A corpus is a stream of scanned workflows (construct bag + metrics).  History
 manifests describe which file was the live content of a workflow during
 which interval, so monthly snapshots can be materialized at month
 boundaries (the first UTC instant of each month).
@@ -9,6 +9,8 @@ boundaries (the first UTC instant of each month).
 from __future__ import annotations
 
 import statistics
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -19,7 +21,7 @@ from .abstraction import Construct, ConstructBag, Placeholder, Wildcard, render_
 from .catalog import FEATURES, Catalog
 from .instants import parse_instant, read_jsonl
 from .metrics import WorkflowMetrics
-from .stats import FiveNumber, five_number, gini, spearman
+from .stats import FiveNumber, five_number, gini, linear_quantiles, spearman
 
 MIN_LIFESPAN = timedelta(days=30)
 DEFAULT_TOP_K = (1, 5, 10, 20, 50, 100)
@@ -54,72 +56,72 @@ def _repeatable(construct: Construct) -> bool:
     return any(isinstance(seg, (Wildcard, Placeholder)) for seg in construct)
 
 
-def corpus_stats(scans: list[tuple[WorkflowMetrics, ConstructBag]]) -> CorpusStats:
-    """Aggregate usage statistics over scanned workflows."""
-    if not scans:
-        raise ValueError("corpus is empty")
-    n = len(scans)
+def corpus_stats(scans: Iterable[tuple[WorkflowMetrics, ConstructBag]]) -> CorpusStats:
+    """Aggregate usage statistics over scanned workflows, reading ``scans`` once.
 
-    occurrences: dict[Construct, int] = {}
-    users: dict[Construct, int] = {}
-    per_user_counts: dict[Construct, list[int]] = {}
-    for _, bag in scans:
+    Each workflow is folded in as it comes: one dict lookup per construct
+    appends its count, and the size and per-feature columns grow by a
+    float each.  A construct's occurrences are the sum of its counts and
+    its users their number.
+    """
+    per_workflow: dict[Construct, list[int]] = {}
+    n_paths, n_constructs, n_features, ratios = (array("d") for _ in range(4))
+    used = {feature: (array("d"), array("d")) for feature in FEATURES}
+    for metrics, bag in scans:
         for construct, count in bag.counts.items():
-            occurrences[construct] = occurrences.get(construct, 0) + count
-            users[construct] = users.get(construct, 0) + 1
-            per_user_counts.setdefault(construct, []).append(count)
+            counts = per_workflow.get(construct)
+            if counts is None:
+                per_workflow[construct] = [count]
+            else:
+                counts.append(count)
+        n_paths.append(metrics.n_paths)
+        n_constructs.append(metrics.n_constructs)
+        n_features.append(metrics.n_features)
+        ratios.append(metrics.path_construct_ratio)
+        per_feature = metrics.per_feature
+        for feature, (coverage, ratio) in used.items():
+            usage = per_feature[feature]
+            if usage.present:
+                coverage.append(usage.construct_coverage)
+                ratio.append(usage.path_to_construct_ratio)
+    n = len(n_paths)
+    if not n:
+        raise ValueError("corpus is empty")
 
     construct_freq: dict[Construct, ConstructFrequency] = {}
-    for construct, total in occurrences.items():
+    for construct, counts in per_workflow.items():
         construct_freq[construct] = ConstructFrequency(
-            occurrences=total,
-            workflows_using=users[construct],
-            pct_workflows=users[construct] / n,
-            median_occurrences=(
-                float(statistics.median(per_user_counts[construct]))
-                if _repeatable(construct)
-                else None
-            ),
+            occurrences=sum(counts),
+            workflows_using=len(counts),
+            pct_workflows=len(counts) / n,
+            median_occurrences=float(statistics.median(counts)) if _repeatable(construct) else None,
         )
+    occurrences = [freq.occurrences for freq in construct_freq.values()]
 
-    feature_usage_rate = {
-        feature: sum(1 for m, _ in scans if m.per_feature[feature].present) / n
-        for feature in FEATURES
-    }
-
-    totals = np.array(sorted(occurrences.values(), reverse=True), dtype=float)
+    totals = np.array(sorted(occurrences, reverse=True), dtype=float)
     grand_total = totals.sum()
     ks = sorted({k for k in DEFAULT_TOP_K if k < totals.size} | {totals.size})
     topk_share = {k: float(totals[:k].sum() / grand_total) for k in ks}
 
-    n_paths = [m.n_paths for m, _ in scans]
-    n_constructs = [m.n_constructs for m, _ in scans]
     rho: float | None
     try:
         rho = spearman(n_paths, n_constructs)
     except ValueError:
         rho = None
 
-    feature_coverage: dict[str, FiveNumber | None] = {}
-    feature_ratio: dict[str, FiveNumber | None] = {}
-    for feature in FEATURES:
-        used = [m.per_feature[feature] for m, _ in scans if m.per_feature[feature].present]
-        feature_coverage[feature] = five_number([u.construct_coverage for u in used]) if used else None
-        feature_ratio[feature] = five_number([u.path_to_construct_ratio for u in used]) if used else None
-
     return CorpusStats(
         n_workflows=n,
         construct_freq=construct_freq,
-        feature_usage_rate=feature_usage_rate,
-        gini=gini(list(occurrences.values())),
+        feature_usage_rate={feature: len(coverage) / n for feature, (coverage, _) in used.items()},
+        gini=gini(occurrences),
         topk_share=topk_share,
         spearman_paths_constructs=rho,
         dist_n_paths=five_number(n_paths),
         dist_n_constructs=five_number(n_constructs),
-        dist_n_features=five_number([m.n_features for m, _ in scans]),
-        dist_ratio=five_number([m.path_construct_ratio for m, _ in scans]),
-        feature_coverage=feature_coverage,
-        feature_ratio=feature_ratio,
+        dist_n_features=five_number(n_features),
+        dist_ratio=five_number(ratios),
+        feature_coverage={f: five_number(c) if c else None for f, (c, _) in used.items()},
+        feature_ratio={f: five_number(r) if r else None for f, (_, r) in used.items()},
     )
 
 
@@ -251,13 +253,10 @@ def evolution_series(values_by_month: list[tuple[str, list[float]]], metric: str
         if not values:
             points.append(EvolutionPoint(month, 0, None, None, None, None))
             continue
-        x = np.asarray(values, dtype=float)
-        q1, med, q3 = np.percentile(x, [25.0, 50.0, 75.0], method="linear")
-        points.append(
-            EvolutionPoint(
-                month, x.size, float(x.mean()), float(med), float(q1), float(q3)
-            )
-        )
+        x = np.array(values, dtype=float)
+        mean = float(x.mean())  # in input order, before the quantiles partition x
+        q1, med, q3 = linear_quantiles(x, (0.25, 0.5, 0.75))
+        points.append(EvolutionPoint(month, x.size, mean, med, q1, q3))
     return EvolutionSeries(metric=metric, points=tuple(points))
 
 

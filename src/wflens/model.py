@@ -29,18 +29,46 @@ class WorkflowParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True, slots=True)
-class Key:
-    """A mapping-key path segment."""
+class Key(tuple):
+    """A mapping-key path segment, the tuple ``("key", name)``.
 
-    name: str
+    Segments are tuples tagged by their kind, so paths and constructs hash
+    and compare in C and segments of different kinds never compare equal.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str) -> Key:
+        return tuple.__new__(cls, ("key", name))
+
+    @property
+    def name(self) -> str:
+        return self[1]
+
+    def __getnewargs__(self) -> tuple[str]:
+        return (self[1],)
+
+    def __repr__(self) -> str:
+        return f"Key(name={self[1]!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Index:
-    """A sequence-index path segment."""
+class Index(tuple):
+    """A sequence-index path segment, the tuple ``("index", position)``."""
 
-    position: int
+    __slots__ = ()
+
+    def __new__(cls, position: int) -> Index:
+        return tuple.__new__(cls, ("index", position))
+
+    @property
+    def position(self) -> int:
+        return self[1]
+
+    def __getnewargs__(self) -> tuple[int]:
+        return (self[1],)
+
+    def __repr__(self) -> str:
+        return f"Index(position={self[1]!r})"
 
 
 Segment = Union[Key, Index]

@@ -28,6 +28,7 @@ from .stats import (
     check_alpha,
     cliffs_delta,
     effect_table,
+    linear_quantiles,
     mann_whitney_u,
 )
 from .stats.glm import _as_design, _Binomial, _Counts, _fit_logistic, _fit_negbin
@@ -222,9 +223,10 @@ def tercile_split(values: dict[str, float], metric: str = "") -> SizeGroups:
     if len(values) < 3:
         raise ValueError("tercile split needs at least 3 workflows")
     data = np.array(list(values.values()), dtype=float)
-    if np.unique(data).size < 3:
+    # np.unique's count, NaNs as one value, without the numpy.ma it imports
+    if len({v if v == v else math.nan for v in data.tolist()}) < 3:
         raise ValueError("degenerate grouping: fewer than 3 distinct values")
-    t1, t2 = np.percentile(data, [100.0 / 3.0, 200.0 / 3.0], method="linear")
+    t1, t2 = linear_quantiles(data, ((100.0 / 3.0) / 100, (200.0 / 3.0) / 100))
     small, medium, large = [], [], []
     for workflow_id in sorted(values):
         value = values[workflow_id]
@@ -234,7 +236,7 @@ def tercile_split(values: dict[str, float], metric: str = "") -> SizeGroups:
             medium.append(workflow_id)
         else:
             large.append(workflow_id)
-    return SizeGroups(metric, float(t1), float(t2), tuple(small), tuple(medium), tuple(large))
+    return SizeGroups(metric, t1, t2, tuple(small), tuple(medium), tuple(large))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,6 @@
 """Self-contained statistical toolkit for the corpus and reliability analyses."""
 
-# np.percentile and np.unique import numpy.ma on first use.  Importing it
-# with the package lets processes forked after ``import wflens`` find it
-# loaded, instead of each child importing it (~13 ms) itself.
-import numpy.ma  # noqa: F401
-
-from .descriptive import FiveNumber, five_number, gini, midranks, spearman
+from .descriptive import FiveNumber, five_number, gini, linear_quantiles, midranks, spearman
 from .glm import (
     effect_table,
     fit_binomial_logistic,
@@ -34,6 +29,7 @@ __all__ = [
     "fit_negative_binomial",
     "five_number",
     "gini",
+    "linear_quantiles",
     "logistic_log_likelihood",
     "logistic_score",
     "mann_kendall",

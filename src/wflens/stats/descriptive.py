@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +73,44 @@ class FiveNumber:
     max: float
 
 
+def linear_quantiles(x: np.ndarray, qs: tuple[float, ...]) -> list[float]:
+    """``np.quantile(x, qs, method="linear")`` of a non-empty float vector, bit for bit.
+
+    The same steps as numpy, minus its ~40 µs of overhead per call and its
+    import of ``numpy.ma``: the virtual index ``(n - 1) * q`` and its floor,
+    numpy's partition of ``x`` (in place) on those indices, and ``_lerp``'s
+    two branches, taken from the upper neighbour once the weight is 0.5 or
+    more.  Any NaN gives NaN.  Partitioning as numpy does, rather than
+    sorting, keeps the sign of a zero numpy picks among equal zeros.
+    """
+    last = x.size - 1
+    cuts = []
+    for q in qs:
+        at = last * q
+        if at >= last:  # both neighbours are the last element, and the weight is at + 1
+            below = above = -1
+        else:
+            below = math.floor(at)
+            above = below + 1
+        cuts.append((below, above, at - below))
+    x.partition(sorted({0, -1, *(c[0] for c in cuts), *(c[1] for c in cuts)}))
+    top = x.item(-1)
+    if top != top:
+        return [top] * len(qs)
+    out = []
+    for below, above, t in cuts:
+        a = x.item(below)
+        b = x.item(above)
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out
+
+
 def five_number(values) -> FiveNumber:
     """Min, linear-interpolated quartiles, and max."""
-    x = np.asarray(values, dtype=float)
+    x = np.array(values, dtype=float)
     if x.size == 0:
         raise ValueError("five_number requires a non-empty vector")
-    q1, med, q3 = np.percentile(x, [25.0, 50.0, 75.0], method="linear")
-    return FiveNumber(float(x.min()), float(q1), float(med), float(q3), float(x.max()))
+    low, high = x.min(), x.max()
+    q1, med, q3 = linear_quantiles(x, (0.25, 0.5, 0.75))
+    return FiveNumber(float(low), q1, med, q3, float(high))

@@ -1,6 +1,8 @@
 """Path-to-construct abstraction."""
 
+import copy
 import json
+import pickle
 from collections import Counter
 
 import pytest
@@ -199,3 +201,75 @@ def test_placeholder_kind_validated():
 def test_bag_type():
     bag = ConstructBag({}, 0)
     assert bag.distinct() == 0
+
+
+# ------------------------------------------------------------------ segments
+
+
+SEGMENTS = [Key("id"), Index(0), Wildcard(), Placeholder("id")]
+
+
+def test_segments_of_different_kinds_never_compare_equal():
+    assert Key("id") != Placeholder("id")
+    assert Key("id") != Index(0) and Key("0") != Index(0)
+    assert Wildcard() != Index(0)
+    for i, a in enumerate(SEGMENTS):
+        for j, b in enumerate(SEGMENTS):
+            assert (a == b) == (i == j)
+
+
+def test_equal_segments_hash_equal():
+    for make in (lambda: Key("runs-on"), lambda: Index(3), Wildcard, lambda: Placeholder("var")):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert type(a) is type(b)
+
+
+def test_segment_repr_and_fields():
+    assert repr(Key("id")) == "Key(name='id')"
+    assert repr(Index(2)) == "Index(position=2)"
+    assert repr(Wildcard()) == "Wildcard()"
+    assert repr(Placeholder("s_id")) == "Placeholder(kind='s_id')"
+    assert (Key("a").name, Index(2).position, Placeholder("var").kind) == ("a", 2, "var")
+    assert isinstance(Key("a"), Key) and not isinstance(Key("a"), Placeholder)
+
+
+@pytest.mark.parametrize("segment", SEGMENTS, ids=repr)
+def test_segments_are_immutable(segment):
+    before = tuple(segment)
+    for attribute in ("name", "position", "kind", "other"):
+        with pytest.raises(AttributeError):
+            setattr(segment, attribute, "x")
+    assert tuple(segment) == before
+
+
+@pytest.mark.parametrize("segment", SEGMENTS, ids=repr)
+def test_segments_round_trip_through_pickle_and_deepcopy(segment):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(segment, protocol))
+        assert back == segment and type(back) is type(segment)
+    copied = copy.deepcopy((segment, [segment]))
+    assert copied == (segment, [segment]) and type(copied[0]) is type(segment)
+
+
+def test_placeholder_kind_checked_on_unpickling():
+    with pytest.raises(ValueError):
+        Placeholder.__new__(Placeholder, "nope")
+
+
+def test_constructs_built_apart_find_each_other(catalog):
+    text = "on: push\njobs:\n  build:\n    runs-on: ubuntu-latest\n    steps:\n      - uses: a/b@v1\n"
+    bag = wflens.scan_text(text, "ci.yml", catalog).bag
+    by_hand = {
+        (Key("jobs"), Placeholder("id"), Key("steps"), Wildcard(), Key("uses")): "uses",
+        (Key("jobs"), Placeholder("id"), Key("runs-on")): "runs-on",
+        (Key("on"),): "on",
+    }
+    for construct, rendered in [(c, wflens.render_construct(c)) for c in bag.counts]:
+        parsed = wflens.parse_construct(rendered)
+        assert parsed == construct and hash(parsed) == hash(construct)
+        assert bag.counts[parsed] == bag.counts[construct]
+    for construct in by_hand:
+        assert construct in bag.counts
+        assert wflens.parse_construct(wflens.render_construct(construct)) in by_hand
+    assert all(construct in catalog.entries for construct in by_hand)

@@ -188,3 +188,16 @@ def test_evolution_series_hand_values(catalog):
 def test_evolution_series_month_order_enforced():
     with pytest.raises(ValueError):
         wflens.evolution_series([("2023-02", [1.0]), ("2023-01", [2.0])], "n_paths")
+
+
+def test_corpus_stats_reads_any_iterable_once(catalog):
+    corpus = [
+        scan_paths(["name", "on", "on.push"], catalog),
+        scan_paths(["on", "jobs", "jobs.a", "jobs.a.steps", "jobs.a.steps[0]", "jobs.a.steps[1]"], catalog),
+        scan_paths(["on", "on.push", "jobs", "jobs.a", "jobs.b", "jobs.b.runs-on"], catalog),
+        scan_paths(["on", "env", "env.A", "env.B", "env.C"], catalog),
+    ]
+    assert wflens.corpus_stats(iter(corpus)) == wflens.corpus_stats(corpus)
+    assert wflens.corpus_stats(w for w in corpus) == wflens.corpus_stats(tuple(corpus))
+    with pytest.raises(ValueError):
+        wflens.corpus_stats(iter([]))

@@ -1,5 +1,6 @@
 """What wflens needs at run time: no scipy, no pkgutil, and no file system for its bundled data."""
 
+import json
 import os
 import subprocess
 import sys
@@ -40,6 +41,31 @@ def test_commands_import_no_pkgutil():
     )
     assert '"diagnostics"' in proc.stdout
     assert proc.stderr.splitlines()[-1] == "False"
+
+
+def test_commands_load_no_numpy_ma(tmp_path):
+    # numpy.ma costs ~13 ms to import; np.percentile and np.unique load it on first use
+    fixtures = Path(__file__).parent / "fixtures"
+    sizes, runs = build_reliability_files(tmp_path)
+    reliability = ["--runs", str(runs), "--sizes", str(sizes), "--window", "2023-01-01..2023-12-31"]
+    history = ["--manifest", str(fixtures / "history" / "manifest.jsonl"), "--from", "2023-01", "--to", "2023-05"]
+    commands = [
+        ["corpus", "stats", str(fixtures)],
+        ["corpus", "evolve", *history],
+        ["corpus", "trend", *history],
+        ["reliability", "compare", *reliability],
+        ["reliability", "regress", "--analysis", "sizes", *reliability],
+        ["reliability", "regress", "--analysis", "features", *reliability],
+    ]
+    proc = python(
+        "import io, json, sys; from contextlib import redirect_stdout; from wflens.cli import main\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        try:\n            main(args)\n        except SystemExit as exc:\n            code = exc.code\n"
+        "    print(args[:2], code, 'numpy.ma' in sys.modules)",
+        json.dumps(commands),
+    )
+    assert proc.stdout.splitlines() == [f"{args[:2]} 0 False" for args in commands]
 
 
 def test_bundled_data_loads_from_a_zip_install(tmp_path):

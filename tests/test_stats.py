@@ -6,14 +6,16 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import wflens
 from wflens.stats import (
     FiveNumber,
     bh_adjust,
     cliffs_delta,
     five_number,
     gini,
+    linear_quantiles,
     mann_kendall,
     mann_whitney_u,
     midranks,
@@ -108,6 +110,53 @@ def test_five_number_linear_interpolation():
     assert five_number([1, 2, 3, 4, 5, 6, 7, 8, 9]) == FiveNumber(1.0, 3.0, 5.0, 7.0, 9.0)
     fn = five_number([8, 26])
     assert (fn.q1, fn.median, fn.q3) == (12.5, 17.0, 21.5)
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, math.inf, -math.inf, math.nan, 2**53 + 1]
+_number = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from(_EDGE_VALUES),
+)
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@given(st.lists(_number, min_size=1, max_size=40))
+@example([7])
+@example([3, 3, 3, 3])
+@example([1, 2, 2, 2, 3])
+@example([2**53 + 1, 2**53 + 3, 2**64 + 1, 2**70])
+@example([-0.0])
+@example([0.0, -0.0, -0.0, 0.0, -0.0])
+@example([-0.0, -0.0, 0.0, 5e-324, -0.0, 1.0, -0.0])
+@example([5e-324, 1e-310, 2.0**-1022, 0.0])
+@example([math.inf])
+@example([-math.inf, 1.0, math.inf])
+@example([1.0, math.nan, 2.0])
+@example([math.nan])
+def test_quantiles_match_numpy_bit_for_bit(values):
+    x = np.asarray(values, dtype=float)
+    with np.errstate(invalid="ignore"):
+        quartiles = np.percentile(x, [25.0, 50.0, 75.0], method="linear")
+        terciles = np.percentile(x, [100.0 / 3.0, 200.0 / 3.0], method="linear")
+    fn = five_number(values)
+    assert _hex([fn.min, fn.q1, fn.median, fn.q3, fn.max]) == _hex([x.min(), *quartiles, x.max()])
+    assert all(type(v) is float for v in (fn.min, fn.q1, fn.median, fn.q3, fn.max))
+    cuts = linear_quantiles(np.array(values, dtype=float), ((100.0 / 3.0) / 100, (200.0 / 3.0) / 100))
+    assert _hex(cuts) == _hex(terciles)
+    # tercile_split cuts where np.percentile would
+    if np.unique(x).size >= 3:
+        groups = wflens.tercile_split({f"w{i}": float(v) for i, v in enumerate(x)})
+        assert _hex([groups.t1, groups.t2]) == _hex(terciles)
+
+
+def test_five_number_leaves_its_input_alone():
+    x = np.array([3.0, 1.0, 2.0, 5.0, 4.0])
+    five_number(x)
+    assert x.tolist() == [3.0, 1.0, 2.0, 5.0, 4.0]
 
 
 # ------------------------------------------------------------------ Mann-Whitney
