@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Union
 
 from .instants import expect
-from .model import ConcretePath, Index, Key, _parse_segments
+from .model import ConcretePath, Index, Key, _render, _segment_text, _tokenize
 
 PLACEHOLDER_KINDS = ("id", "var", "param", "s_id")
 
@@ -134,29 +134,21 @@ def abstract_workflow(
 def render_construct(construct: Construct) -> str:
     if not construct:
         raise ValueError("cannot render an empty construct")
-    parts: list[str] = []
-    for segment in construct:
-        if isinstance(segment, Key):
-            parts.append(("." if parts else "") + segment.name)
-        elif isinstance(segment, Wildcard):
-            parts.append("[*]")
-        else:
-            parts.append(("." if parts else "") + f"<{segment.kind}>")
-    return "".join(parts)
+    return _render(construct)
 
 
 def parse_construct(text: str) -> Construct:
     """Parse a rendered construct such as ``jobs.<id>.steps[*].uses``."""
     out: list[AbstractSegment] = []
-    for part in text.split("."):
-        wildcards = 0
-        while part.endswith("[*]"):
-            part = part[:-3]
-            wildcards += 1
-        if not part or "[" in part or "]" in part:
-            return _parse_construct_checked(text)
-        out.append(_segment(part))
-        out.extend([_WILDCARD] * wildcards)
+    for kind, value in _tokenize(text):
+        if kind == "key":
+            out.append(_segment(value))
+        elif value == "*":
+            out.append(_WILDCARD)
+        elif value.isdecimal():
+            raise ValueError(f"concrete index in construct {text!r}")
+        else:
+            raise ValueError(f"invalid index [{value}] in construct {text!r}")
     return tuple(out)
 
 
@@ -171,46 +163,17 @@ def _segment(token: str) -> Key | Placeholder:
     return Key(token)
 
 
-def _parse_construct_checked(text: str) -> Construct:
-    """:func:`parse_construct` for any text, with the grammar's checks and errors."""
-    out: list[AbstractSegment] = []
-    for kind, value in _parse_segments(text):
-        if kind == "index":
-            if value == "*":
-                out.append(Wildcard())
-            elif value.isdigit():
-                raise ValueError(f"concrete index in construct {text!r}")
-            else:
-                raise ValueError(f"invalid index [{value}] in construct {text!r}")
-        elif value.startswith("<") and value.endswith(">") and value[1:-1] in PLACEHOLDER_KINDS:
-            out.append(Placeholder(value[1:-1]))
-        else:
-            out.append(Key(value))
-    return tuple(out)
-
-
-def _segment_token(segment: AbstractSegment) -> str:
-    if isinstance(segment, Key):
-        return segment.name
-    if isinstance(segment, Wildcard):
-        return "[*]"
-    return f"<{segment.kind}>"
-
-
 def _strings(value, what: str) -> list[str]:
     return [expect(item, str, f"{what} item") for item in expect(value, list, what)]
 
 
-def _prefix_from_tokens(tokens: list[str]) -> Construct:
-    out: list[AbstractSegment] = []
-    for token in tokens:
-        if token == "[*]":
-            out.append(Wildcard())
-        elif token.startswith("<") and token.endswith(">"):
-            out.append(Placeholder(token[1:-1]))
-        else:
-            out.append(Key(token))
-    return tuple(out)
+def _prefix_segment(token: str) -> AbstractSegment:
+    """A rule-prefix segment from its text; ``<kind>`` must name a placeholder kind."""
+    if token == "[*]":
+        return _WILDCARD
+    if token.startswith("<") and token.endswith(">"):
+        return Placeholder(token[1:-1])
+    return Key(token)
 
 
 def ruleset_from_data(data: list[dict]) -> AbstractionRuleSet:
@@ -221,7 +184,7 @@ def ruleset_from_data(data: list[dict]) -> AbstractionRuleSet:
             raise ValueError(f"unknown placeholder kind {kind!r}")
         rules.append(
             AbstractionRule(
-                prefix=_prefix_from_tokens(_strings(item["prefix"], "rule prefix")),
+                prefix=tuple(map(_prefix_segment, _strings(item["prefix"], "rule prefix"))),
                 kind=kind,
                 except_keys=frozenset(_strings(item.get("except", []), "rule except keys")),
             )
@@ -232,7 +195,7 @@ def ruleset_from_data(data: list[dict]) -> AbstractionRuleSet:
 def ruleset_to_data(rules: AbstractionRuleSet) -> list[dict]:
     out = []
     for rule in rules.rules:
-        item: dict = {"prefix": [_segment_token(s) for s in rule.prefix], "kind": rule.kind}
+        item: dict = {"prefix": [_segment_text(s, True) for s in rule.prefix], "kind": rule.kind}
         if rule.except_keys:
             item["except"] = sorted(rule.except_keys)
         out.append(item)

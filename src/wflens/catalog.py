@@ -32,7 +32,7 @@ from .abstraction import (
     ruleset_to_data,
 )
 from .instants import bundled_json, expect
-from .model import ConcretePath, Key
+from .model import ConcretePath, Key, _segment_text
 
 FEATURES: tuple[str, ...] = (
     "triggers",
@@ -135,19 +135,14 @@ class ScanIndex:
 
     def extend(self, parent: ConstructNode, token: object) -> ConstructNode:
         """A new node for ``parent``'s construct followed by the segment ``token`` stands for."""
-        text = parent.text
         if token is ANY_INDEX:
             segment: AbstractSegment = Wildcard()
-            text += "[*]"
+        elif token is ANY_KEY:
+            segment = Placeholder(parent.rule.kind)
         else:
-            if token is ANY_KEY:
-                segment = Placeholder(parent.rule.kind)
-                name = f"<{segment.kind}>"
-            else:
-                segment = Key(token)
-                name = token
-            text = f"{text}.{name}" if text else name
+            segment = Key(token)
         construct = parent.construct + (segment,)
+        text = parent.text + _segment_text(segment, not parent.construct)
         return ConstructNode(construct, self.rules.rule_for(construct), text)
 
 

@@ -9,6 +9,7 @@ every message says so.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -68,6 +69,17 @@ class RiskSummary:
     caveat: str = CAVEAT
 
 
+def _positive(value, what: str) -> float:
+    """``value`` as a positive float; NaN and infinities, which ``json.load`` reads, are refused."""
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not 0 < number < math.inf:
+        raise ValueError(f"{what} must be a positive finite number")
+    return number
+
+
 def risk_model_from_data(data: dict) -> RiskModel:
     expect(data, dict, "risk model")
     thresholds: dict[str, tuple[float, float]] = {}
@@ -76,8 +88,8 @@ def risk_model_from_data(data: dict) -> RiskModel:
             raise ValueError(f"unknown size metric {metric!r} in risk model")
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"size_thresholds for {metric} must be a [t1, t2] pair")
-        t1, t2 = float(pair[0]), float(pair[1])
-        if not (0 < t1 < t2):
+        t1, t2 = (_positive(t, f"threshold for {metric}") for t in pair)
+        if not t1 < t2:
             raise ValueError(f"thresholds for {metric} must satisfy 0 < t1 < t2")
         thresholds[metric] = (t1, t2)
 
@@ -87,10 +99,10 @@ def risk_model_from_data(data: dict) -> RiskModel:
             raise ValueError(f"unknown size metric {metric!r} in risk model")
         if not isinstance(row, dict) or "failure_or" not in row or "commits_irr" not in row:
             raise ValueError(f"size_effects for {metric} must give failure_or and commits_irr")
-        effect = SizeEffect(float(row["failure_or"]), float(row["commits_irr"]))
-        if effect.failure_or <= 0 or effect.commits_irr <= 0:
-            raise ValueError(f"effect ratios for {metric} must be positive")
-        size_effects[metric] = effect
+        size_effects[metric] = SizeEffect(
+            _positive(row["failure_or"], f"{metric}.failure_or"),
+            _positive(row["commits_irr"], f"{metric}.commits_irr"),
+        )
 
     feature_effects: dict[str, FeatureEffect] = {}
     for feature, row in expect(data.get("feature_effects", {}), dict, "feature_effects").items():
@@ -101,9 +113,7 @@ def risk_model_from_data(data: dict) -> RiskModel:
         values = {}
         for key in ("presence_or", "presence_irr", "per_path_or", "per_path_irr"):
             value = row.get(key)
-            if value is not None and float(value) <= 0:
-                raise ValueError(f"{feature}.{key} must be positive")
-            values[key] = float(value) if value is not None else None
+            values[key] = None if value is None else _positive(value, f"{feature}.{key}")
         feature_effects[feature] = FeatureEffect(**values)
 
     return RiskModel(

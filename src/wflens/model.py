@@ -363,6 +363,57 @@ def enumerate_paths(tree: WorkflowTree) -> list[ConcretePath]:
     return out
 
 
+def _segment_text(segment: tuple, first: bool) -> str:
+    """``name``, ``<kind>``, ``[i]`` or ``[*]``; a key or ``<kind>`` after another segment takes a ``.``."""
+    tag = segment[0]
+    if tag == "key":
+        name = segment[1]
+    elif tag == "placeholder":
+        name = f"<{segment[1]}>"
+    else:
+        return "[*]" if tag == "wildcard" else f"[{segment[1]}]"
+    return name if first else "." + name
+
+
+def _render(segments: tuple) -> str:
+    """The text of a path or construct, one :func:`_segment_text` per segment."""
+    return "".join([_segment_text(segment, not i) for i, segment in enumerate(segments)])
+
+
+def _tokenize(text: str) -> list[tuple[str, str]]:
+    """Split a rendered path or construct into ``("key" | "index", text)`` pairs.
+
+    Keys, which may be empty, are joined by ``.``; each may be followed by
+    indices, the text from a ``[`` to the next ``]``, which may hold ``.``.
+    """
+    if not text:
+        raise ValueError("empty path string")
+    out: list[tuple[str, str]] = []
+    at = 0  # the offset of part in text
+    parts = iter(text.split("."))
+    for part in parts:
+        start = part.find("[")
+        if start < 0:
+            out.append(("key", part))
+        else:
+            out.append(("key", part[:start]))
+            while start < len(part):
+                if part[start] != "[":
+                    raise ValueError(f"malformed path {text!r} at offset {at + start}")
+                end = part.find("]", start)
+                while end < 0 and (more := next(parts, None)) is not None:
+                    part += "." + more
+                    end = part.find("]", start)
+                if end < 0:
+                    raise ValueError(f"unterminated index in path {text!r}")
+                out.append(("index", part[start + 1 : end]))
+                start = end + 1
+        at += len(part) + 1
+    if not part:
+        raise ValueError(f"malformed path {text!r}: trailing separator")
+    return out
+
+
 def render_path(path: ConcretePath) -> str:
     """Dotted rendering: keys joined with ``.``, indices as ``[i]``.
 
@@ -371,64 +422,24 @@ def render_path(path: ConcretePath) -> str:
     """
     if not path:
         raise ValueError("cannot render an empty path")
-    parts: list[str] = []
-    for segment in path:
-        if isinstance(segment, Key):
-            parts.append(("." if parts else "") + segment.name)
-        else:
-            parts.append(f"[{segment.position}]")
-    return "".join(parts)
+    return _render(path)
 
 
 def parse_path(text: str) -> ConcretePath:
     """Inverse of :func:`render_path` on rendered strings.
 
-    ``render(parse(render(p))) == render(p)`` always holds; segment-level
-    round-tripping holds for keys without ``.`` or ``[``.
+    Round-tripping holds for keys without ``.`` or ``[``; a key with one
+    may read back as other segments, or not parse.
     """
-    segments = _parse_segments(text)
     out: list[Segment] = []
-    for kind, value in segments:
+    for kind, value in _tokenize(text):
         if kind == "key":
             out.append(Key(value))
-        else:
-            if not value.isdigit():
-                raise ValueError(f"invalid sequence index [{value}] in path {text!r}")
+        elif value.isdecimal():
             out.append(Index(int(value)))
+        else:
+            raise ValueError(f"invalid sequence index [{value}] in path {text!r}")
     return tuple(out)
-
-
-def _parse_segments(text: str) -> list[tuple[str, str]]:
-    """Split a rendered path into (kind, text) pairs, kind in {key, index}."""
-    if not text:
-        raise ValueError("empty path string")
-    out: list[tuple[str, str]] = []
-    i = 0
-    expect_key = True
-    while i < len(text):
-        ch = text[i]
-        if ch == "[" and not expect_key:
-            end = text.find("]", i)
-            if end < 0:
-                raise ValueError(f"unterminated index in path {text!r}")
-            out.append(("index", text[i + 1 : end]))
-            i = end + 1
-            continue
-        if ch == "." and not expect_key:
-            expect_key = True
-            i += 1
-            continue
-        if not expect_key:
-            raise ValueError(f"malformed path {text!r} at offset {i}")
-        end = i
-        while end < len(text) and text[end] not in ".[":
-            end += 1
-        out.append(("key", text[i:end]))
-        expect_key = False
-        i = end
-    if expect_key:
-        raise ValueError(f"malformed path {text!r}: trailing separator")
-    return out
 
 
 _SUFFIXES = (".yml", ".yaml")

@@ -6,7 +6,7 @@ import pickle
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import wflens
 from wflens.abstraction import ConstructBag, Placeholder, Wildcard
@@ -172,6 +172,58 @@ def test_parse_render_construct_round_trip():
     for case in GOLDEN["cases"]:
         construct = wflens.parse_construct(case["construct"])
         assert wflens.render_construct(construct) == case["construct"]
+
+
+W = Wildcard()
+# text -> what parse_construct and parse_path give: the segments or the ValueError message.
+PARSE_OUTCOMES = {
+    "": ("empty path string", "empty path string"),
+    ".": ("malformed path '.': trailing separator", "malformed path '.': trailing separator"),
+    "a.": ("malformed path 'a.': trailing separator", "malformed path 'a.': trailing separator"),
+    "a..b": ((Key("a"), Key(""), Key("b")), (Key("a"), Key(""), Key("b"))),
+    "[0]": ("concrete index in construct '[0]'", (Key(""), Index(0))),
+    "[*]": ((Key(""), W), "invalid sequence index [*] in path '[*]'"),
+    ".z": ((Key(""), Key("z")), (Key(""), Key("z"))),
+    "a[0]b": ("malformed path 'a[0]b' at offset 4", "malformed path 'a[0]b' at offset 4"),
+    "a]": ((Key("a]"),), (Key("a]"),)),
+    "a[": ("unterminated index in path 'a['", "unterminated index in path 'a['"),
+    "a[1.5]": ("invalid index [1.5] in construct 'a[1.5]'", "invalid sequence index [1.5] in path 'a[1.5]'"),
+    "a[1.5]b": ("malformed path 'a[1.5]b' at offset 6", "malformed path 'a[1.5]b' at offset 6"),
+    "<id>": ((Placeholder("id"),), (Key("<id>"),)),
+    "<nope>": ((Key("<nope>"),), (Key("<nope>"),)),
+    "a[*][*]": ((Key("a"), W, W), "invalid sequence index [*] in path 'a[*][*]'"),
+    "a[²]": ("invalid index [²] in construct 'a[²]'", "invalid sequence index [²] in path 'a[²]'"),
+    "jobs.<id>.steps[*].uses": (
+        (Key("jobs"), Placeholder("id"), Key("steps"), W, Key("uses")),
+        "invalid sequence index [*] in path 'jobs.<id>.steps[*].uses'",
+    ),
+}
+
+
+def test_parse_outcomes_match_the_recorded_table():
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            return str(exc)
+
+    for text, expected in PARSE_OUTCOMES.items():
+        assert (outcome(wflens.parse_construct, text), outcome(wflens.parse_path, text)) == expected, text
+
+
+# Keys hold no ".", "[" or placeholder name.  A wildcard needs a segment
+# before it and an empty key one after it, or the text reads back otherwise.
+_abstract_segment = st.one_of(
+    st.text(alphabet="ab]*<>-_ ", max_size=4).map(Key),
+    st.sampled_from(wflens.PLACEHOLDER_KINDS).map(Placeholder),
+    st.just(W),
+)
+
+
+@given(st.lists(_abstract_segment, min_size=1, max_size=6).map(tuple))
+def test_parse_construct_inverts_render_construct(construct):
+    assume(construct[0] != W and construct[-1] != Key(""))
+    assert wflens.parse_construct(wflens.render_construct(construct)) == construct
 
 
 def test_bag_totals(node_ci_paths, ruleset):

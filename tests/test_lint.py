@@ -273,6 +273,14 @@ def test_diagnostic_to_dict_shape(kitchen_metrics):
         {"feature_effects": {"bogus": {"presence_or": 1.1}}},
         {"feature_effects": {"commands": {"presence_or": -2.0}}},
         {"feature_effects": {"commands": [1.1]}},
+        {"size_thresholds": {"n_paths": [5, float("inf")]}},
+        {"size_thresholds": {"n_paths": [float("nan"), 5]}},
+        {"size_thresholds": {"n_paths": [5, 10**400]}},
+        {"size_effects": {"n_paths": {"failure_or": float("nan"), "commits_irr": 1.1}}},
+        {"size_effects": {"n_paths": {"failure_or": 1.1, "commits_irr": float("inf")}}},
+        {"feature_effects": {"commands": {"presence_or": float("nan")}}},
+        {"feature_effects": {"commands": {"per_path_irr": float("inf")}}},
+        {"feature_effects": {"commands": {"presence_irr": float("-inf")}}},
     ],
 )
 def test_model_validation_rejects(data):

@@ -14,12 +14,9 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given
-from hypothesis import strategies as st
 
 import wflens
 from wflens import model
-from wflens.abstraction import _parse_construct_checked, parse_construct
 from wflens.scan import scan_file, scan_record
 
 from conftest import FIXTURES
@@ -168,12 +165,7 @@ def test_every_catalog_construct_is_indexed(catalog):
             assert node.text == wflens.render_construct(node.construct)
 
 
-@given(st.text(alphabet="ab.[]*<>idvr19 ", max_size=16))
-def test_parse_construct_fast_path_matches_checked_grammar(text):
-    def outcome(parse):
-        try:
-            return parse(text)
-        except ValueError as exc:
-            return ("error", str(exc))
-
-    assert outcome(parse_construct) == outcome(_parse_construct_checked)
+def test_extended_node_text_is_the_rendered_construct(catalog):
+    index = catalog.index
+    node = index.extend(index.extend(index.root, ""), "z")
+    assert node.text == wflens.render_construct(node.construct) == ".z"

@@ -49,11 +49,11 @@ def kernel(text):
 
 # Keys that reach the abstraction rules (jobs.<id>, matrix variables and their
 # include/exclude exceptions, env, with, services, inputs), the spellings of
-# the trigger key, and repeats so that duplicate keys occur.
+# the trigger key, the empty key, and repeats so that duplicate keys occur.
 KEYS = [
     "on", '"on"', "true", "yes", "ON", "off", "jobs", "build", "steps", "env", "with",
     "strategy", "matrix", "include", "exclude", "services", "container", "inputs",
-    "workflow_dispatch", "outputs", "runs-on", "uses", "name", "x",
+    "workflow_dispatch", "outputs", "runs-on", "uses", "name", "x", '""',
 ]
 SCALARS = ["1", "x", "true", "on", "null", "~", "'q'", '"s"', "2.5", "ubuntu-latest", "0x1F"]
 ANCHORS = ["a", "b", "c"]
@@ -146,6 +146,7 @@ documents = st.builds(
 @example("a: &a {x: [*a]}\n")  # alias cycle
 @example("a: *b\n")  # undefined alias
 @example("on: 1\ntrue: 2\n")  # trigger spellings collide
+@example('"":\n  z: 1\na: 2\n')  # ".z" sorts before "a"
 def test_kernel_matches_reference_chain(text):
     assert kernel(text) == reference(text)
 
