@@ -55,7 +55,7 @@ from .reliability import (
     regress_sizes,
     reliability_metrics,
 )
-from .scan import ScanResult, scan_file, scan_record
+from .scan import ScanResult, scan_file, scan_line, scan_record
 from .stats import check_alpha, mann_kendall
 
 
@@ -166,7 +166,11 @@ def cli() -> None:
 # ---------------------------------------------------------------- scan
 
 
-def _scan_line(record: dict) -> str:
+LINES_PER_WRITE = 256
+"""``scan --format jsonl`` lines per write."""
+
+
+def _scan_text_line(record: dict) -> str:
     if "error" in record:
         err = record["error"]
         where = ""
@@ -194,15 +198,30 @@ def _scan_line(record: dict) -> str:
 def scan(paths: tuple[str, ...], catalog_path: str | None, fmt: str) -> None:
     """Parse workflow files and report per-file size metrics."""
     catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
-    results = [scan_file(f, catalog) for f in _expand_paths(paths)]
-    records = sorted((scan_record(r) for r in results), key=lambda r: r["file"])
-    if fmt == "json":
-        _emit_json(records)
-    elif fmt == "jsonl":
-        click.echo("\n".join([_json_line(record) for record in records]))
+    files = _expand_paths(paths)
+    if fmt == "jsonl":
+        # Files in record order, each line written with its batch: memory
+        # does not grow with the number of files.
+        failed = False
+        lines: list[str] = []
+        for file in sorted(files):
+            result = scan_file(file, catalog)
+            failed = failed or not result.parsed
+            lines.append(scan_line(result))
+            if len(lines) == LINES_PER_WRITE:
+                click.echo("\n".join(lines))
+                lines.clear()
+        if lines:
+            click.echo("\n".join(lines))
     else:
-        click.echo("\n".join([_scan_line(record) for record in records]))
-    if any(not r.parsed for r in results):
+        results = [scan_file(f, catalog) for f in files]
+        records = sorted((scan_record(r) for r in results), key=lambda r: r["file"])
+        if fmt == "json":
+            _emit_json(records)
+        else:
+            click.echo("\n".join([_scan_text_line(record) for record in records]))
+        failed = any(not r.parsed for r in results)
+    if failed:
         sys.exit(2)
 
 

@@ -120,12 +120,21 @@ def _usage_to_dict(usage: FeatureUsage) -> dict:
 _ABSENT_DICT = _usage_to_dict(_ABSENT)
 
 
-def metrics_to_dict(metrics: WorkflowMetrics) -> dict:
-    """JSON-ready dict with deterministic content."""
+def _features_to_dict(metrics: WorkflowMetrics) -> dict:
     features = {}
     for feature in FEATURES:
         usage = metrics.per_feature[feature]
         features[feature] = dict(_ABSENT_DICT) if usage is _ABSENT else _usage_to_dict(usage)
+    return features
+
+
+def metrics_to_dict(metrics: WorkflowMetrics) -> dict:
+    """JSON-ready dict with deterministic content."""
+    return _metric_fields(metrics, _features_to_dict(metrics))
+
+
+def _metric_fields(metrics: WorkflowMetrics, features: object) -> dict:
+    """:func:`metrics_to_dict` with ``features`` as its ``"features"`` value."""
     return {
         "n_paths": metrics.n_paths,
         "n_constructs": metrics.n_constructs,

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from collections.abc import Callable
 from dataclasses import dataclass
+from dataclasses import fields as dataclass_fields
+from functools import lru_cache
+from math import inf
+from operator import attrgetter
 from pathlib import Path
 
 import yaml
@@ -12,12 +18,22 @@ from .catalog import (
     ANY_INDEX,
     ANY_KEY,
     Catalog,
+    FEATURES,
     ConstructNode,
     ScanIndex,
     default_catalog,
     tally_constructs,
 )
-from .metrics import WorkflowMetrics, metrics_from_tally, metrics_to_dict
+from .metrics import (
+    _ABSENT,
+    FeatureUsage,
+    WorkflowMetrics,
+    _features_to_dict,
+    _metric_fields,
+    _usage_to_dict,
+    metrics_from_tally,
+    round4,
+)
 from .model import (
     MAX_DEPTH,
     MAX_PATHS,
@@ -139,8 +155,8 @@ def scan_file(path: str | Path, catalog: Catalog | None = None) -> ScanResult:
     return scan_text(text, file, catalog)
 
 
-def scan_record(result: ScanResult) -> dict:
-    """The JSON record for one scanned file."""
+def _record(result: ScanResult, features: Callable[[WorkflowMetrics], object]) -> dict:
+    """The record for one scanned file, with ``features(metrics)`` as its ``"features"`` value."""
     record: dict = {"file": result.file, "valid": result.valid}
     if result.error is not None:
         record["error"] = {
@@ -150,5 +166,68 @@ def scan_record(result: ScanResult) -> dict:
         }
         return record
     assert result.metrics is not None
-    record.update(metrics_to_dict(result.metrics))
+    record.update(_metric_fields(result.metrics, features(result.metrics)))
     return record
+
+
+def scan_record(result: ScanResult) -> dict:
+    """The JSON record for one scanned file."""
+    return _record(result, _features_to_dict)
+
+
+_json = json.JSONEncoder(sort_keys=True).encode
+
+CACHED_USAGES = 2048
+"""Bound on the JSON texts of distinct feature usages that :func:`scan_line` keeps."""
+
+_usage_fields = attrgetter(*(field.name for field in dataclass_fields(FeatureUsage)))
+_TALLIED = (bool, int, int, float, float, float, bool)
+"""Field types of a present feature's usage, as ``metrics_from_tally`` makes it."""
+
+_ABSENT_JSON = _json(_usage_to_dict(_ABSENT))
+_FEATURE_KEYS = [(feature, _json(feature) + ": ") for feature in sorted(FEATURES)]
+_BOOL_JSON = {False: "false", True: "true"}
+
+
+@lru_cache(maxsize=CACHED_USAGES)
+def _tallied_usage_json(fields: tuple) -> str:
+    """``_json(_usage_to_dict(FeatureUsage(*fields)))`` for tallied types and positive finite floats.
+
+    For these, json writes a bool as ``true``/``false`` and an int or a
+    float as its ``repr``, so the text is formatted here directly.
+    """
+    present, n_paths, used, coverage, ratio, capped, structural_only = fields
+    return (
+        f'{{"capped_ratio": {round4(capped)!r}, "construct_coverage": {round4(coverage)!r}, '
+        f'"n_constructs_used": {used!r}, "n_paths": {n_paths!r}, '
+        f'"path_to_construct_ratio": {round4(ratio)!r}, "present": {_BOOL_JSON[present]}, '
+        f'"structural_only": {_BOOL_JSON[structural_only]}}}'
+    )
+
+
+def _usage_json(usage: FeatureUsage) -> str:
+    if usage is _ABSENT:
+        return _ABSENT_JSON
+    fields = _usage_fields(usage)
+    _, _, _, coverage, ratio, capped, _ = fields
+    # Values that compare equal but write apart (True, 1 and 1.0; 0.0 and
+    # -0.0) must not share a cache entry, and json writes NaN and Infinity
+    # its own way: only tallied types and positive finite floats go there.
+    if tuple(map(type, fields)) == _TALLIED and 0.0 < coverage < inf and 0.0 < ratio < inf and 0.0 < capped < inf:
+        return _tallied_usage_json(fields)
+    return _json(_usage_to_dict(usage))
+
+
+def _features_json(metrics: WorkflowMetrics) -> str:
+    per_feature = metrics.per_feature
+    return "{" + ", ".join([key + _usage_json(per_feature[feature]) for feature, key in _FEATURE_KEYS]) + "}"
+
+
+def scan_line(result: ScanResult) -> str:
+    """``json.dumps(scan_record(result), sort_keys=True)``, built from the cached text of each feature's usage."""
+    record = _record(result, _features_json)
+    features = record.pop("features", None)
+    if features is None:  # a parse failure
+        return _json(record)
+    # "features" sorts before every other key of a parsed file's record
+    return '{"features": ' + features + ", " + _json(record)[1:]

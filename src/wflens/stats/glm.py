@@ -282,9 +282,9 @@ def _negbin_ll(mu: np.ndarray, counts: _Counts, theta: float, theta_mu=None) -> 
     )
 
 
-def _negbin_family(eta, counts: _Counts, theta: float):
-    """Log-likelihood, IRLS weights, working response and :func:`_gain` terms at eta."""
-    mu, y = np.exp(eta), counts.y
+def _negbin_family(eta, mu, counts: _Counts, theta: float):
+    """Log-likelihood, IRLS weights, working response and :func:`_gain` terms at eta, whose exp is ``mu``."""
+    y = counts.y
     theta_mu = theta + mu
     w = mu * theta / theta_mu
     return _negbin_ll(mu, counts, theta, theta_mu), w, eta + (y - mu) / mu, (y, y + theta, mu / theta_mu)
@@ -353,14 +353,21 @@ def _fit_negbin(x: np.ndarray, counts: _Counts, terms) -> GlmFit:
     beta[0] = math.log(max(mean, 1e-8)) if np.allclose(x[:, 0], 1.0) else 0.0
 
     note: str | None = None
+    last: tuple = (None, None)  # an eta and its exp: update_theta and the family share each step's eta
+
+    def exp_of(eta) -> np.ndarray:
+        nonlocal last
+        if last[0] is not eta:
+            last = (eta, np.exp(eta))
+        return last[1]
 
     def update_theta(eta) -> bool:
         nonlocal theta, note
         previous = theta
-        theta, note = _update_theta(counts, np.exp(eta), theta)
+        theta, note = _update_theta(counts, exp_of(eta), theta)
         return abs(math.log(theta) - math.log(previous)) < 1e-8
 
-    fit = _irls(x, beta, lambda eta: _negbin_family(eta, counts, theta), update_theta)
+    fit = _irls(x, beta, lambda eta: _negbin_family(eta, exp_of(eta), counts, theta), update_theta)
     fit["diagnostic"] = "; ".join(filter(None, (fit["diagnostic"], note))) or None
     return GlmFit(family="negative-binomial-log", terms=names, dispersion=theta, **fit)
 

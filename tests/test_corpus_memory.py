@@ -1,4 +1,5 @@
-"""`corpus stats` keeps per-workflow columns only, not every scanned workflow."""
+"""`corpus stats` keeps per-workflow columns only, not every scanned workflow, and
+`scan --format jsonl` keeps no record once it is written."""
 
 import os
 import subprocess
@@ -59,31 +60,41 @@ import os, sys
 pid = os.fork()
 if pid == 0:
     os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-    os.execv(sys.executable, [sys.executable, "-m", "wflens.cli", "corpus", "stats", sys.argv[1]])
+    os.execv(sys.executable, [sys.executable, "-m", "wflens.cli", *sys.argv[1:]])
 _, status, usage = os.wait4(pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def _peak_rss_bytes(directory) -> int:
-    """Peak resident set of one ``wflens corpus stats`` process, stdout to /dev/null."""
+def _peak_rss_bytes(*argv: str) -> int:
+    """Peak resident set of one ``wflens *argv`` process, stdout to /dev/null."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, "-c", _MEASURE, str(directory)], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", _MEASURE, *argv], capture_output=True, text=True, check=True, env=env
     ).stdout
     code, kilobytes = map(int, out.split())
     assert code == 0
     return kilobytes * 1024  # ru_maxrss is in kilobytes on Linux
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux only")
-def test_corpus_stats_memory_does_not_grow_with_kept_workflows(tmp_path):
+def _check_growth(tmp_path, *argv: str) -> None:
+    """``wflens *argv DIRECTORY`` on N and 4N files gains at most BYTES_PER_EXTRA_FILE per extra file."""
     peaks = []
     for n in (N, 4 * N):
         directory = tmp_path / str(n)
         directory.mkdir()
         for i in range(n):
             (directory / f"w{i:05d}.yml").write_text(WORKFLOW.format(i=i), encoding="utf-8")
-        peaks.append(_peak_rss_bytes(directory))
+        peaks.append(_peak_rss_bytes(*argv, str(directory)))
     growth = (peaks[1] - peaks[0]) / (3 * N)
     assert growth <= BYTES_PER_EXTRA_FILE, f"peak RSS grew {growth:.0f} bytes per extra file: {peaks}"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux only")
+def test_corpus_stats_memory_does_not_grow_with_kept_workflows(tmp_path):
+    _check_growth(tmp_path, "corpus", "stats")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux only")
+def test_scan_jsonl_memory_does_not_grow_with_kept_records(tmp_path):
+    _check_growth(tmp_path, "scan", "--format", "jsonl")

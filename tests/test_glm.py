@@ -222,7 +222,7 @@ def test_irls_gain_matches_the_likelihood_difference(obs, beta, step, theta):
         (logistic_log_likelihood(x, y, t, beta + step) - logistic_log_likelihood(x, y, t, beta),
          glm._logistic_family(eta, y, t, 0.0), logistic_terms),
         (negbin_log_likelihood(x, y, beta + step, theta) - negbin_log_likelihood(x, y, beta, theta),
-         glm._negbin_family(eta, glm._Counts(y), theta), negbin_terms),
+         glm._negbin_family(eta, np.exp(eta), glm._Counts(y), theta), negbin_terms),
     ]
     for difference, (_, _, _, gain_terms), per_observation in cases:
         # the two totals round at the size of their per-observation terms
