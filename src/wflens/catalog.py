@@ -246,13 +246,16 @@ def _entry_from_data(item: dict) -> CatalogEntry:
     status = item.get("status", "active")
     if status not in ("active", "deprecated"):
         raise ValueError(f"unknown status {status!r} for {item['construct']}")
+    structural = item.get("structural", False)
+    if not isinstance(structural, bool):
+        raise ValueError(f"structural must be true or false, not {structural!r}, for {item['construct']}")
     return CatalogEntry(
         construct=construct,
         level=level,
         feature=feature,
         status=status,
         provenance=item.get("provenance", "reconstructed"),
-        structural=bool(item.get("structural", False)),
+        structural=structural,
     )
 
 
@@ -401,7 +404,7 @@ def tally_constructs(rows: Iterable[Row]) -> ConstructTally:
     return ConstructTally(tuple(known), tuple(unknown), features)
 
 
-def extract_catalog(bags: list[ConstructBag], rules: AbstractionRuleSet | None = None) -> Catalog:
+def extract_catalog(bags: Iterable[ConstructBag], rules: AbstractionRuleSet | None = None) -> Catalog:
     """Union the constructs of scanned workflows into a fresh catalog.
 
     Levels are inferred from the prefix rule; features are left

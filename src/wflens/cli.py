@@ -10,9 +10,10 @@ import csv
 import io
 import json
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from datetime import datetime
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
 from typing import TypeVar
 
@@ -39,8 +40,8 @@ from .corpus import (
     materialize_snapshots,
     month_range,
 )
-from .instants import dumps_indented, parse_instant
-from .lint import default_risk_model, diagnostic_to_dict, evaluate, load_risk_model
+from .instants import _write, parse_instant
+from .lint import Diagnostic, default_risk_model, diagnostic_to_dict, evaluate, load_risk_model
 from .metrics import SIZE_METRICS, WorkflowMetrics
 from .model import discover_workflow_files
 from .reliability import (
@@ -69,7 +70,22 @@ class InputError(click.ClickException):
 
 
 def _emit_json(data: object) -> None:
-    click.echo(dumps_indented(data))
+    """Echo ``dumps_indented(data)`` in bounded parts, drawing each iterator in it as written."""
+    out: list[str] = []
+    _write(data, out, "\n", {}, partial(click.echo, nl=False))
+    click.echo("".join(out))
+
+
+LINES_PER_WRITE = 256
+"""Lines per write of a command that prints one line per record."""
+
+
+def _echo_lines(lines: Iterable[str]) -> None:
+    """Echo each of ``lines`` and a newline, LINES_PER_WRITE lines at a time."""
+    lines = iter(lines)
+    while batch := list(islice(lines, LINES_PER_WRITE)):
+        click.echo("\n".join(batch))
+        del batch  # before the next is drawn: two batches alive at once grow the heap
 
 
 _json_line = json.JSONEncoder(sort_keys=True).encode
@@ -166,17 +182,12 @@ def cli() -> None:
 # ---------------------------------------------------------------- scan
 
 
-LINES_PER_WRITE = 256
-"""``scan --format jsonl`` lines per write."""
-
-
-def _scan_text_line(record: dict) -> str:
-    if "error" in record:
-        err = record["error"]
-        where = ""
-        if err.get("line") is not None:
-            where = f" at line {err['line']}, column {err['column']}"
-        return f"{record['file']}: parse error{where}: {err['message']}"
+def _scan_text_line(result: ScanResult) -> str:
+    err = result.error
+    if err is not None:
+        where = "" if err.line is None else f" at line {err.line}, column {err.column}"
+        return f"{result.file}: parse error{where}: {err.message}"
+    record = scan_record(result)
     unknown = record["unknown_constructs"]
     tail = f", unknown constructs: {len(unknown)}" if unknown else ""
     return (
@@ -198,29 +209,18 @@ def _scan_text_line(record: dict) -> str:
 def scan(paths: tuple[str, ...], catalog_path: str | None, fmt: str) -> None:
     """Parse workflow files and report per-file size metrics."""
     catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
-    files = _expand_paths(paths)
-    if fmt == "jsonl":
-        # Files in record order, each line written with its batch: memory
-        # does not grow with the number of files.
-        failed = False
-        lines: list[str] = []
-        for file in sorted(files):
-            result = scan_file(file, catalog)
-            failed = failed or not result.parsed
-            lines.append(scan_line(result))
-            if len(lines) == LINES_PER_WRITE:
-                click.echo("\n".join(lines))
-                lines.clear()
-        if lines:
-            click.echo("\n".join(lines))
-    else:
-        results = [scan_file(f, catalog) for f in files]
-        records = sorted((scan_record(r) for r in results), key=lambda r: r["file"])
-        if fmt == "json":
-            _emit_json(records)
-        else:
-            click.echo("\n".join([_scan_text_line(record) for record in records]))
-        failed = any(not r.parsed for r in results)
+    files = sorted(_expand_paths(paths))  # the order of the records' "file"
+    make, write = {"json": (scan_record, _emit_json), "jsonl": (scan_line, _echo_lines),
+                   "text": (_scan_text_line, _echo_lines)}[fmt]
+    failed = False
+
+    def record(file: str) -> object:
+        nonlocal failed
+        result = scan_file(file, catalog)
+        failed = failed or not result.parsed
+        return make(result)
+
+    write(map(record, files))
     if failed:
         sys.exit(2)
 
@@ -247,37 +247,35 @@ def lint(paths: tuple[str, ...], catalog_path: str | None, model_path: str | Non
     catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
     model = _load("risk model", load_risk_model, model_path, default_risk_model)
     failed: list[str] = []
-
-    diagnostics = []
     risk: dict[str, dict] = {}
-    for result in _parsed(_expand_paths(paths), catalog, failed):
-        diags, summary = evaluate(result.metrics, model, file=result.file)
-        diagnostics.extend(diags)
-        risk[result.file] = {
-            "relative_failure_odds": round(summary.relative_failure_odds, 4),
-            "relative_commit_rate": round(summary.relative_commit_rate, 4),
-            "caveat": summary.caveat,
-        }
+    warned = False
 
-    if fmt == "json":
-        _emit_json(
-            {
-                "diagnostics": [diagnostic_to_dict(d) for d in diagnostics],
-                "risk": risk,
+    def diagnostics() -> Iterator[Diagnostic]:
+        nonlocal warned
+        for result in _parsed(_expand_paths(paths), catalog, failed):
+            diags, summary = evaluate(result.metrics, model, file=result.file)
+            warned = warned or any(d.severity == "warn" for d in diags)
+            risk[result.file] = {
+                "relative_failure_odds": round(summary.relative_failure_odds, 4),
+                "relative_commit_rate": round(summary.relative_commit_rate, 4),
+                "caveat": summary.caveat,
             }
-        )
+            yield from diags
+
+    # ``risk`` fills up while the diagnostics are drawn, in argument order, so
+    # both formats write it after them: sort_keys writes "diagnostics" first.
+    if fmt == "json":
+        _emit_json({"diagnostics": map(diagnostic_to_dict, diagnostics()), "risk": risk})
     else:
-        lines = [f"{d.file}: {d.rule_id} {d.severity}: {d.message}" for d in diagnostics]
-        lines.extend(
+        _echo_lines(f"{d.file}: {d.rule_id} {d.severity}: {d.message}" for d in diagnostics())
+        _echo_lines(
             f"{file}: relative failure odds {entry['relative_failure_odds']}, "
             f"relative commit rate {entry['relative_commit_rate']}"
             for file, entry in sorted(risk.items())
         )
-        if lines:
-            click.echo("\n".join(lines))
     if failed:
         sys.exit(2)
-    if any(d.severity == "warn" for d in diagnostics):
+    if warned:
         sys.exit(1)
 
 
@@ -309,10 +307,11 @@ def catalog_extract(paths: tuple[str, ...], catalog_path: str | None) -> None:
     """Build a catalog skeleton from the constructs observed in files."""
     catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
     failed: list[str] = []
-    bags = [r.bag for r in _parsed(_expand_paths(paths), catalog, failed)]
-    if not bags:
+    bags = (r.bag for r in _parsed(_expand_paths(paths), catalog, failed))
+    extracted = extract_catalog(bags, rules=catalog.rules)
+    if not extracted.entries:  # a parsed workflow has at least one construct
         raise InputError("no workflow files could be parsed")
-    _emit_json(catalog_to_data(extract_catalog(bags, rules=catalog.rules)))
+    _emit_json(catalog_to_data(extracted))
     if failed:
         sys.exit(2)
 
@@ -549,11 +548,11 @@ def reliability_metrics_cmd(runs_path: str, window_text: str, fmt: str) -> None:
     records = _read(load_run_records, runs_path)
     if not records:
         raise InputError(f"no run records in {runs_path}")
-    rows = [_metrics_row(m) for m in _all_metrics(records, window)]
+    rows = map(_metrics_row, _all_metrics(records, window))
     if fmt == "json":
         _emit_json(rows)
-    elif rows:
-        click.echo("\n".join([_json_line(row) for row in rows]))
+    else:
+        _echo_lines(map(_json_line, rows))
 
 
 @reliability_group.command("compare")

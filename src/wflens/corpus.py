@@ -142,7 +142,7 @@ def load_history_manifest(path: str | Path) -> list[HistoryInterval]:
         try:
             intervals.append(
                 HistoryInterval(
-                    workflow_id=row["workflow_id"],
+                    workflow_id=str(row["workflow_id"]),
                     repo=row.get("repo", ""),
                     valid_from=parse_instant(row["valid_from"]),
                     valid_to=parse_instant(row["valid_to"]) if row.get("valid_to") else None,

@@ -90,7 +90,7 @@ def _float_text(value: float) -> str:
 
 
 def _scalar_text(value) -> str | None:
-    """The JSON text of a scalar, typed in :mod:`json`'s order; None for an array or object."""
+    """The JSON text of a scalar, typed in :mod:`json`'s order; None for an array, object or iterator."""
     if isinstance(value, str):
         return _string(value)
     if value is None:
@@ -103,7 +103,7 @@ def _scalar_text(value) -> str | None:
         return _int_text(value)
     if isinstance(value, float):
         return _float_text(value)
-    if isinstance(value, (list, tuple, dict)):
+    if isinstance(value, (list, tuple, dict, Iterator)):
         return None
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
@@ -117,6 +117,10 @@ def _name_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
+_PIECES_PER_WRITE = 8192
+"""Pieces of text that :func:`_write` holds before it writes them out at the start of a container."""
+
+
 def dumps_indented(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, at about twice its speed.
 
@@ -126,27 +130,37 @@ def dumps_indented(value) -> str:
     so subclasses, NaN, infinities, non-string keys and the ``TypeError``
     for anything else come out as :mod:`json` makes them.  Unlike
     :mod:`json` it does not look for reference cycles: a cyclic value ends
-    in ``RecursionError``.
+    in ``RecursionError``, and it writes an iterator, which :mod:`json`
+    rejects, as a list.
     """
     out: list[str] = []
-    _write(value, out.append, "\n", {})
+    _write(value, out, "\n", {})
     return "".join(out)
 
 
-def _write(value, put: Callable[[str], None], newline: str, names: dict[str, str]) -> None:
-    """Append the text of ``value``, nested at the indent that ``newline`` ends in.
+def _write(value, out: list[str], newline: str, names: dict[str, str], write=None) -> None:
+    """Append the text of ``value`` to ``out``, nested at the indent that ``newline`` ends in.
 
     ``names`` caches the ``"key": `` text of each string key seen so far.
+    An iterator is written as a list while it is drawn.  With ``write``
+    (a ``Callable[[str], None]``), a container that starts past
+    :data:`_PIECES_PER_WRITE` pieces first passes the text in ``out`` to
+    it and empties ``out``, so a streamed list goes out in bounded parts.
     """
+    put = out.append
     kind = type(value)
     if kind is not dict and kind is not list:
         text = _scalar_text(value)
         if text is not None:
             put(text)
             return
-        # a tuple, or a subclass of list or dict: json writes it as its base type
-        value = dict(value.items()) if isinstance(value, dict) else list(value)
-        kind = type(value)
+        # a tuple, an iterator or a subclass of list or dict: written as its base type
+        kind = dict if isinstance(value, dict) else list
+        if kind is dict:
+            value = dict(value.items())
+    if write is not None and len(out) >= _PIECES_PER_WRITE:
+        write("".join(out))
+        out.clear()
     inner = newline + "  "
     if kind is dict:
         if not value:
@@ -174,14 +188,11 @@ def _write(value, put: Callable[[str], None], newline: str, names: dict[str, str
                 put(f"{sep}{name}{_string(item)}")
             else:
                 put(sep + name)
-                _write(item, put, inner, names)
+                _write(item, out, inner, names, write)
             sep = "," + inner
         put(newline + "}")
     else:
-        if not value:
-            put("[]")
-            return
-        sep = "[" + inner
+        first = sep = "[" + inner
         for item in value:
             kind = type(item)
             if kind is str:
@@ -192,6 +203,6 @@ def _write(value, put: Callable[[str], None], newline: str, names: dict[str, str
                 put(sep + _float_text(item))
             else:
                 put(sep)
-                _write(item, put, inner, names)
+                _write(item, out, inner, names, write)
             sep = "," + inner
-        put(newline + "]")
+        put("[]" if sep is first else newline + "]")

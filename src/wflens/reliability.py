@@ -90,8 +90,9 @@ def load_scan_tables(
     """Size, presence and per-feature path tables from scan records in JSONL.
 
     Records of files that failed to parse carry no sizes and are skipped.
-    A malformed record, a non-finite number or a duplicate ``workflow_id``
-    (else ``file``) raises :class:`ValueError` with its line number.
+    A ``workflow_id`` (``file`` if absent, null or empty) is read as text.
+    A malformed record, a non-finite number or a duplicate id raises
+    :class:`ValueError` with its line number.
     """
     sizes: dict[str, dict[str, float]] = {m: {} for m in SIZE_METRICS}
     presence: dict[str, dict[str, bool]] = {f: {} for f in FEATURES}
@@ -102,7 +103,8 @@ def load_scan_tables(
         if "n_paths" not in record:
             continue
         try:
-            workflow_id = record.get("workflow_id") or record["file"]
+            workflow_id = record.get("workflow_id")
+            workflow_id = str(record["file"] if workflow_id in (None, "") else workflow_id)
             duplicate = workflow_id in sizes["n_paths"]
             if not duplicate:
                 for metric in SIZE_METRICS:

@@ -1,8 +1,10 @@
 """Construct catalog: composition checks, classification, extraction."""
 
 import dataclasses
+import json
 
 import pytest
+from click.testing import CliRunner
 
 import wflens
 from wflens.catalog import (
@@ -12,6 +14,9 @@ from wflens.catalog import (
     UNCLASSIFIED,
     Catalog,
 )
+from wflens.cli import cli
+
+from conftest import FIXTURES
 
 # Published per-feature construct counts.
 TABLE_COUNTS = {
@@ -179,11 +184,25 @@ def test_data_round_trip(catalog):
 
 def test_load_catalog_file(tmp_path, catalog):
     target = tmp_path / "cat.json"
-    import json
-
     target.write_text(json.dumps(wflens.catalog_to_data(catalog)), encoding="utf-8")
     loaded = wflens.load_catalog(target)
     assert loaded.entries == catalog.entries
+
+
+@pytest.mark.parametrize("structural", ["false", "true", 0, 1, None, []])
+def test_structural_must_be_a_json_boolean(tmp_path, catalog, structural):
+    """``"structural": "false"`` would make ``commands`` structural-only and hide lint's F007."""
+    data = wflens.catalog_to_data(catalog)
+    entry = next(e for e in data["constructs"] if e["construct"] == "jobs.<id>.steps[*].run")
+    entry["structural"] = structural
+    message = r"^structural must be true or false, not .*, for jobs\.<id>\.steps\[\*\]\.run$"
+    with pytest.raises(ValueError, match=message):
+        wflens.catalog_from_data(data)
+    target = tmp_path / "cat.json"
+    target.write_text(json.dumps(data), encoding="utf-8")
+    result = CliRunner().invoke(cli, ["lint", "--catalog", str(target), str(FIXTURES / "kitchen.yml")])
+    assert result.exit_code == 2
+    assert result.output.startswith(f"Error: cannot load catalog {target}: structural must be true or false")
 
 
 def test_entries_are_frozen(catalog):

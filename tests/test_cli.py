@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -112,6 +113,28 @@ def test_lint_clean_workflow_exits_0():
 def test_lint_parse_failure_exits_2():
     result = invoke(["lint", str(FIXTURES / "broken.yml")])
     assert result.exit_code == 2
+
+
+NO_PARSE = "Error: no workflow files could be parsed\n"
+
+
+@pytest.mark.parametrize(
+    "command, stdout, error",
+    [
+        (["lint"], "", ""),
+        (["lint", "--format", "json"], '{\n  "diagnostics": [],\n  "risk": {}\n}\n', ""),
+        (["catalog", "extract"], "", NO_PARSE),
+        (["corpus", "stats"], "", NO_PARSE),
+    ],
+)
+def test_no_parsed_file_exits_2(command, stdout, error):
+    broken = str(FIXTURES / "broken.yml")
+    result = invoke([*command, broken, broken])
+    assert result.exit_code == 2
+    assert result.stdout == stdout
+    head = result.stderr.splitlines(keepends=True)[:2]
+    assert head[0] == head[1] and head[0].startswith(f"{broken}: ")
+    assert result.stderr == "".join(head) + error
 
 
 def test_lint_json_format():
@@ -576,6 +599,48 @@ def test_out_of_range_manifest_instant_exits_2_with_line(tmp_path, capsys):
     assert run_main(args) == 2
     err = capsys.readouterr().err
     assert f"{manifest}:2: malformed manifest record: " in err and "out of range" in err
+
+
+@pytest.mark.parametrize(
+    "command", [["compare"], ["regress", "--analysis", "sizes"], ["regress", "--analysis", "features"]]
+)
+def test_numeric_sizes_workflow_id_reads_as_its_text(tmp_path, clienv, command):
+    """Sizes ids 0, 1, ... among file names join the runs of "0", "1", ..., as the same ids as text do."""
+    runs = [json.loads(line) for line in Path(clienv["runs"]).read_text(encoding="utf-8").splitlines()]
+    ids = {}
+    outputs = []
+    for kind in (str, int):
+        sizes = [json.loads(line) for line in Path(clienv["sizes"]).read_text(encoding="utf-8").splitlines()]
+        for k, record in enumerate(sizes[::2]):
+            ids[record["file"]] = str(k)
+            record["workflow_id"] = kind(k)
+        sizes_path, runs_path = tmp_path / f"sizes_{kind.__name__}.jsonl", tmp_path / "runs.jsonl"
+        sizes_path.write_text("".join(json.dumps(r) + "\n" for r in sizes), encoding="utf-8")
+        renamed = [dict(r, workflow_id=ids.get(r["workflow_id"], r["workflow_id"])) for r in runs]
+        runs_path.write_text("".join(json.dumps(r) + "\n" for r in renamed), encoding="utf-8")
+        result = invoke(
+            ["reliability", *command, "--runs", str(runs_path), "--sizes", str(sizes_path),
+             "--window", "2023-01-01..2023-12-31"]
+        )
+        assert result.exit_code == 0, result.output
+        outputs.append(result.output)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("ids", [[["alpha", "ci.yml"]], [1, "a"]], ids=["list", "number-and-string"])
+def test_non_string_manifest_workflow_id_reads_as_its_text(tmp_path, ids):
+    records = [json.loads(line) for line in Path(MANIFEST).read_text(encoding="utf-8").splitlines()]
+    for record, workflow_id in zip(records, ids):
+        record["workflow_id"] = workflow_id
+    for record in records:
+        record["file"] = str(FIXTURES / "history" / record["file"])
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    for command in ("evolve", "trend"):
+        args = ["corpus", command, "--from", "2023-01", "--to", "2023-05", "--manifest"]
+        result = invoke([*args, str(manifest)])
+        assert result.exit_code == 0, result.output
+        assert result.output == invoke([*args, MANIFEST]).output
 
 
 def test_out_of_range_window_instant_is_a_usage_error(capsys):
