@@ -42,7 +42,7 @@ from .corpus import (
 )
 from .instants import _write, parse_instant
 from .lint import Diagnostic, default_risk_model, diagnostic_to_dict, evaluate, load_risk_model
-from .metrics import SIZE_METRICS, WorkflowMetrics
+from .metrics import SIZE_METRICS, WorkflowMetrics, round4
 from .model import discover_workflow_files
 from .reliability import (
     ReliabilityMetrics,
@@ -187,12 +187,12 @@ def _scan_text_line(result: ScanResult) -> str:
     if err is not None:
         where = "" if err.line is None else f" at line {err.line}, column {err.column}"
         return f"{result.file}: parse error{where}: {err.message}"
-    record = scan_record(result)
-    unknown = record["unknown_constructs"]
+    metrics = result.metrics
+    unknown = metrics.unknown_constructs
     tail = f", unknown constructs: {len(unknown)}" if unknown else ""
     return (
-        f"{record['file']}: paths={record['n_paths']} constructs={record['n_constructs']} "
-        f"features={record['n_features']} ratio={record['path_construct_ratio']}{tail}"
+        f"{result.file}: paths={metrics.n_paths} constructs={metrics.n_constructs} "
+        f"features={metrics.n_features} ratio={round4(metrics.path_construct_ratio)}{tail}"
     )
 
 
@@ -521,8 +521,7 @@ sizes_option = click.option(
 
 
 def _all_metrics(records, window: tuple[datetime, datetime]) -> list[ReliabilityMetrics]:
-    groups = group_records(records)
-    return [reliability_metrics(groups[w], window) for w in sorted(groups)]
+    return [reliability_metrics(runs, window) for runs in group_records(records).values()]
 
 
 def _metrics_row(m: ReliabilityMetrics) -> dict:

@@ -305,30 +305,22 @@ def compare_groups(
             large = [values[w] for w in groups.large if w in values]
             prepared.append((size_metric, outcome, small, large))
 
-    raw_ps: list[float] = []
-    partials = []
-    for size_metric, outcome, small, large in prepared:
-        if not small or not large:
-            partials.append((size_metric, outcome, small, large, None, None, None))
-            continue
-        test = mann_whitney_u(large, small)
-        effect = cliffs_delta(large, small)
-        raw_ps.append(test.p_value)
-        partials.append((size_metric, outcome, small, large, test.statistic, test.p_value, effect))
-
-    adjusted = bh_adjust(raw_ps) if raw_ps else []
-    adj_iter = iter(adjusted)
+    tested = [
+        (mann_whitney_u(large, small), cliffs_delta(large, small)) if small and large else (None, None)
+        for _, _, small, large in prepared
+    ]
+    adjusted = iter(bh_adjust([test.p_value for test, _ in tested if test is not None]))
     cells = []
-    for size_metric, outcome, small, large, u, p_raw, effect in partials:
-        p_adj = next(adj_iter) if p_raw is not None else None
+    for (size_metric, outcome, small, large), (test, effect) in zip(prepared, tested):
+        p_adj = None if test is None else next(adjusted)
         cells.append(
             ComparisonCell(
                 size_metric=size_metric,
                 outcome=outcome,
                 n_small=len(small),
                 n_large=len(large),
-                u_statistic=u,
-                p_raw=p_raw,
+                u_statistic=None if test is None else test.statistic,
+                p_raw=None if test is None else test.p_value,
                 p_adjusted=p_adj,
                 effect=effect,
                 significant=p_adj is not None and p_adj < alpha,

@@ -1,21 +1,26 @@
-"""stdout, stderr and exit code of the corpus commands over generated corpora, pinned by digest.
+"""stdout, stderr and exit code of the corpus and reliability commands over generated inputs, pinned by digest.
 
 ``bench/gen_corpus.py`` (imported read-only) writes seeds 1-2 of both
 shapes, 64 mixed and 400 tiny files with 3% malformed, into a temporary
 directory.  Each corpus command runs from that directory on a corpus
 directory, and on 25 of its files in a seeded, unsorted order plus a
-duplicate and a missing file.  One sha256 over (argv, exit code, stdout,
-stderr) per case is compared with ``fixtures/corpus_digests.json``.  The
-generated files are digested too, so that a change to the generator or to
-PyYAML's emitter fails as "input changed", not as a wrong output.  The
-digests hold for libyaml's error wording.  To re-record after an intended
-output change, run ``PYTHONPATH=src python tests/test_corpus_digests.py``
-from the repo root.
+duplicate and a missing file.  ``bench/gen_runs.py`` (imported read-only
+too) writes seeds 1-2 of a 300-workflow runs/sizes pair next to them, and
+``reliability metrics`` (jsonl and json) and ``reliability compare`` run on
+each pair over the generator's window.  One sha256 over (argv, exit code,
+stdout, stderr) per case is compared with ``fixtures/corpus_digests.json``.
+The generated files are digested too, so that a change to a generator or
+to PyYAML's emitter fails as "input changed", not as a wrong output.  The
+corpus digests hold for libyaml's error wording.  ``reliability regress``
+is left out: its last digits are not yet a function of the data alone.
+To re-record after an intended output change, run
+``PYTHONPATH=src python tests/test_corpus_digests.py`` from the repo root.
 """
 
 import hashlib
 import importlib.util
 import json
+import logging
 import os
 import random
 import sys
@@ -49,14 +54,36 @@ COMMANDS = {
 }
 CASES = [f"{corpus}-{c}-{form}" for corpus in CORPORA for c in COMMANDS for form in ("dir", "files")]
 
+PAIRS = {"runs1": (300, 1), "runs2": (300, 2)}
+"""Each generated reliability pair: (workflows, seed)."""
+RELIABILITY_COMMANDS = {
+    "reliability-metrics-jsonl": ["reliability", "metrics", "--runs", "{pair}/runs.jsonl"],
+    "reliability-metrics-json": ["reliability", "metrics", "--format", "json", "--runs", "{pair}/runs.jsonl"],
+    "reliability-compare": [
+        "reliability", "compare", "--runs", "{pair}/runs.jsonl", "--sizes", "{pair}/sizes.jsonl"
+    ],
+}
+RELIABILITY_CASES = [f"{pair}-{c}" for pair in PAIRS for c in RELIABILITY_COMMANDS]
+
+
+def _bench_module(name: str):
+    """``bench/<name>.py``, loaded without putting ``bench`` on the path."""
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gen_runs = _bench_module("gen_runs")
+
 
 def generate(root: Path) -> None:
-    """Write every corpus of :data:`CORPORA` under ``root``."""
-    spec = importlib.util.spec_from_file_location("gen_corpus", BENCH / "gen_corpus.py")
-    gen_corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen_corpus)
+    """Write every corpus of :data:`CORPORA` and every pair of :data:`PAIRS` under ``root``."""
+    gen_corpus = _bench_module("gen_corpus")
     for name, (n, seed, tiny) in CORPORA.items():
         gen_corpus.generate_corpus(root / name, n, seed, tiny=tiny, malformed_rate=0.03)
+    for name, (n, seed) in PAIRS.items():
+        gen_runs.generate_reliability(root / name, n, seed)
 
 
 def _sha256(value) -> str:
@@ -64,9 +91,9 @@ def _sha256(value) -> str:
 
 
 def input_digests(root: Path) -> dict[str, str]:
-    """Per corpus under ``root``, one digest over the relative name and bytes of each of its files."""
+    """Per corpus and pair under ``root``, one digest over the relative name and bytes of each of its files."""
     digests = {}
-    for corpus in CORPORA:
+    for corpus in (*CORPORA, *PAIRS):
         files = sorted(p for p in (root / corpus).rglob("*") if p.is_file())
         named = [[p.relative_to(root).as_posix(), hashlib.sha256(p.read_bytes()).hexdigest()] for p in files]
         digests[corpus] = _sha256(named)
@@ -75,6 +102,8 @@ def input_digests(root: Path) -> dict[str, str]:
 
 def case_argv(case: str) -> list[str]:
     corpus, rest = case.split("-", 1)
+    if corpus in PAIRS:
+        return [arg.format(pair=corpus) for arg in RELIABILITY_COMMANDS[rest]] + ["--window", gen_runs.WINDOW]
     command, form = rest.rsplit("-", 1)
     if form == "dir":
         paths = [corpus]
@@ -85,9 +114,18 @@ def case_argv(case: str) -> list[str]:
 
 
 def output_digest(case: str) -> str:
-    """The digest of (argv, exit code, stdout, stderr) of ``case``, run from the corpora's parent."""
+    """The digest of (argv, exit code, stdout, stderr) of ``case``, run from the inputs' parent."""
     argv = case_argv(case)
-    result = CliRunner().invoke(cli, argv)
+    # A real process writes the run loader's warnings through logging's last
+    # resort handler; under pytest the log capture would take them instead.
+    log = logging.getLogger("wflens.reliability")
+    log.addHandler(logging.lastResort)
+    log.propagate = False
+    try:
+        result = CliRunner().invoke(cli, argv)
+    finally:
+        log.removeHandler(logging.lastResort)
+        log.propagate = True
     if result.exception is not None and not isinstance(result.exception, SystemExit):
         raise result.exception
     return _sha256([argv, result.exit_code, result.stdout, result.stderr])
@@ -105,8 +143,10 @@ def recorded() -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))
 
 
-@pytest.mark.skipif(not yaml.__with_libyaml__, reason="the digests hold for libyaml's error messages")
-@pytest.mark.parametrize("case", CASES)
+LIBYAML = pytest.mark.skipif(not yaml.__with_libyaml__, reason="the digests hold for libyaml's error messages")
+
+
+@pytest.mark.parametrize("case", [*(pytest.param(c, marks=LIBYAML) for c in CASES), *RELIABILITY_CASES])
 def test_output_digest_matches_recording(case, corpora, recorded, monkeypatch):
     root, inputs = corpora
     monkeypatch.chdir(root)
@@ -123,7 +163,7 @@ def record(root: Path) -> None:
     try:
         table = {
             "inputs": input_digests(root),
-            "outputs": {case: output_digest(case) for case in CASES},
+            "outputs": {case: output_digest(case) for case in (*CASES, *RELIABILITY_CASES)},
         }
     finally:
         os.chdir(cwd)

@@ -1,11 +1,18 @@
-"""What wflens needs at run time: no scipy, no pkgutil, and no file system for its bundled data."""
+"""What wflens needs at run time: no scipy, no pkgutil, and no file system for its bundled data.
 
+Also the package namespace: each export loads its home module on first use,
+so the YAML-side exports load neither numpy nor click.
+"""
+
+import importlib
 import json
 import os
 import subprocess
 import sys
 import zipfile
 from pathlib import Path
+
+import pytest
 
 import wflens
 
@@ -14,6 +21,29 @@ from conftest import build_reliability_files
 SRC = str(Path(wflens.__file__).resolve().parents[1])
 BLOCK_SCIPY = "import sys; sys.modules['scipy'] = None; "
 RUN_CLI = "import sys; from wflens.cli import main; sys.argv[0] = 'wflens'; main()"
+FIXTURES = Path(__file__).parent / "fixtures"
+
+EXPORTS = [
+    "AbstractionRule", "AbstractionRuleSet", "Catalog", "CatalogEntry", "CatalogReport",
+    "ComparisonReport", "ConcretePath", "ConstructBag", "CorpusStats", "Diagnostic",
+    "EvolutionPoint", "EvolutionSeries", "FEATURES", "FeatureUsage", "HistoryInterval", "Index",
+    "Key", "LEVELS", "Mapping", "PLACEHOLDER_KINDS", "Placeholder", "ReliabilityMetrics",
+    "RiskModel", "RiskSummary", "RunRecord", "Scalar", "ScanResult", "Sequence",
+    "ValidationReport", "Wildcard", "WorkflowMetrics", "WorkflowParseError", "WorkflowTree",
+    "abstract_path", "abstract_workflow", "catalog_from_data", "catalog_to_data", "classify",
+    "compare_groups", "corpus_stats", "corpus_stats_to_dict", "default_catalog",
+    "default_risk_model", "default_ruleset", "discover_workflow_files", "enumerate_paths",
+    "evaluate", "evolution_series", "extract_catalog", "level_of", "load_catalog",
+    "load_history_manifest", "load_risk_model", "load_run_records", "materialize_snapshots",
+    "metrics_to_dict", "month_range", "parse_construct", "parse_path", "parse_workflow",
+    "parse_workflow_file", "regress_features", "regress_sizes", "reliability_metrics",
+    "render_construct", "render_path", "scan_file", "scan_line", "scan_record", "scan_text",
+    "tercile_split", "validate_catalog", "validate_workflow", "workflow_metrics",
+]
+"""``wflens.__all__`` as the package has always exported it."""
+SUBMODULES = [
+    "abstraction", "catalog", "corpus", "instants", "lint", "metrics", "model", "reliability", "scan", "stats"
+]
 
 
 def python(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -100,3 +130,55 @@ def test_regress_runs_with_scipy_blocked(tmp_path):
         assert free.returncode == blocked.returncode == 0, blocked.stderr
         assert '"predictor"' in free.stdout
         assert blocked.stdout == free.stdout
+
+
+def test_all_is_the_recorded_exports():
+    assert wflens.__all__ == EXPORTS
+
+
+def test_each_export_is_its_home_modules_object():
+    homes = {}
+    for module in SUBMODULES:
+        home = importlib.import_module(f"wflens.{module}")
+        for name in wflens._EXPORTS[module]:
+            assert getattr(wflens, name) is getattr(home, name), name
+            homes[name] = module
+    assert sorted(homes) == EXPORTS
+    assert set(EXPORTS) <= set(dir(wflens))
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_submodule_is_an_attribute_after_a_bare_import(module):
+    # one fresh process per name: importing one submodule imports others as a side effect
+    proc = python("import sys, wflens; print(getattr(wflens, sys.argv[1]).__name__)", module)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"wflens.{module}"
+
+
+def test_unknown_names_are_missing():
+    with pytest.raises(AttributeError, match="'nope'"):
+        wflens.nope
+    assert not hasattr(wflens, "nope")
+    with pytest.raises(ImportError):
+        exec("from wflens import nope")
+
+
+def test_bare_import_loads_no_submodule():
+    proc = python("import sys, wflens; print(sorted(m for m in sys.modules if m.startswith('wflens.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_yaml_side_exports_load_no_numpy_or_click():
+    proc = python(
+        "import sys\n"
+        "from wflens import scan_text, parse_workflow, default_catalog, evaluate\n"
+        "text = open(sys.argv[1], encoding='utf-8').read()\n"
+        "parse_workflow(text)\n"
+        "result = scan_text(text, sys.argv[1], default_catalog())\n"
+        "diagnostics, risk = evaluate(result.metrics, file=sys.argv[1])\n"
+        "print(len(diagnostics), sorted(m for m in sys.modules if m.startswith(('click', 'numpy'))))",
+        str(FIXTURES / "kitchen.yml"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(maxsplit=1)[1].strip() == "[]"
