@@ -10,7 +10,7 @@ import csv
 import io
 import json
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from datetime import datetime
 from functools import partial
 from itertools import chain, islice
@@ -46,6 +46,7 @@ from .metrics import SIZE_METRICS, WorkflowMetrics, round4
 from .model import discover_workflow_files
 from .reliability import (
     ReliabilityMetrics,
+    RunRecord,
     UsageBandError,
     compare_groups,
     group_records,
@@ -108,6 +109,11 @@ def _read(load: Callable[[str], T], path: str) -> T:
         return load(path)
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from exc
+
+
+def _read_runs(path: str) -> list[RunRecord]:
+    """The run records of ``path``; the loader's warnings are the command's own, on stderr."""
+    return _read(partial(load_run_records, warn=partial(click.echo, err=True)), path)
 
 
 def _parsed(files: list[str], catalog: Catalog, failed: list[str]) -> Iterator[ScanResult]:
@@ -228,6 +234,23 @@ def scan(paths: tuple[str, ...], catalog_path: str | None, fmt: str) -> None:
 # ---------------------------------------------------------------- lint
 
 
+class _RiskEntries(Mapping):
+    """Each file's ``risk`` object, built from its (odds, rate, caveat) only as it is written."""
+
+    def __init__(self, risk: dict[str, tuple[float, float, str | None]]):
+        self._risk = risk
+
+    def __getitem__(self, file: str) -> dict:
+        odds, rate, caveat = self._risk[file]
+        return {"relative_failure_odds": odds, "relative_commit_rate": rate, "caveat": caveat}
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._risk)
+
+    def __len__(self) -> int:
+        return len(self._risk)
+
+
 @cli.command()
 @click.argument("paths", nargs=-1, required=True, type=click.Path())
 @catalog_option
@@ -247,7 +270,7 @@ def lint(paths: tuple[str, ...], catalog_path: str | None, model_path: str | Non
     catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
     model = _load("risk model", load_risk_model, model_path, default_risk_model)
     failed: list[str] = []
-    risk: dict[str, dict] = {}
+    risk: dict[str, tuple[float, float, str | None]] = {}  # file -> rounded odds, rate and caveat
     warned = False
 
     def diagnostics() -> Iterator[Diagnostic]:
@@ -255,23 +278,19 @@ def lint(paths: tuple[str, ...], catalog_path: str | None, model_path: str | Non
         for result in _parsed(_expand_paths(paths), catalog, failed):
             diags, summary = evaluate(result.metrics, model, file=result.file)
             warned = warned or any(d.severity == "warn" for d in diags)
-            risk[result.file] = {
-                "relative_failure_odds": round(summary.relative_failure_odds, 4),
-                "relative_commit_rate": round(summary.relative_commit_rate, 4),
-                "caveat": summary.caveat,
-            }
+            odds, rate = round(summary.relative_failure_odds, 4), round(summary.relative_commit_rate, 4)
+            risk[result.file] = (odds, rate, summary.caveat)
             yield from diags
 
     # ``risk`` fills up while the diagnostics are drawn, in argument order, so
     # both formats write it after them: sort_keys writes "diagnostics" first.
     if fmt == "json":
-        _emit_json({"diagnostics": map(diagnostic_to_dict, diagnostics()), "risk": risk})
+        _emit_json({"diagnostics": map(diagnostic_to_dict, diagnostics()), "risk": _RiskEntries(risk)})
     else:
         _echo_lines(f"{d.file}: {d.rule_id} {d.severity}: {d.message}" for d in diagnostics())
         _echo_lines(
-            f"{file}: relative failure odds {entry['relative_failure_odds']}, "
-            f"relative commit rate {entry['relative_commit_rate']}"
-            for file, entry in sorted(risk.items())
+            f"{file}: relative failure odds {odds}, relative commit rate {rate}"
+            for file, (odds, rate, _) in sorted(risk.items())
         )
     if failed:
         sys.exit(2)
@@ -544,7 +563,7 @@ def _metrics_row(m: ReliabilityMetrics) -> dict:
 def reliability_metrics_cmd(runs_path: str, window_text: str, fmt: str) -> None:
     """Per-workflow failure rate, commits, recovery time, availability."""
     window = _parse_window(window_text)
-    records = _read(load_run_records, runs_path)
+    records = _read_runs(runs_path)
     if not records:
         raise InputError(f"no run records in {runs_path}")
     rows = map(_metrics_row, _all_metrics(records, window))
@@ -571,7 +590,7 @@ def reliability_compare(
 ) -> None:
     """Small-vs-large workflow comparison on every outcome metric."""
     window = _parse_window(window_text)
-    records = _read(load_run_records, runs_path)
+    records = _read_runs(runs_path)
     sizes, _, _ = _read(load_scan_tables, sizes_path)
     metrics = _all_metrics(records, window)
     try:
@@ -633,7 +652,7 @@ def reliability_regress(
         unknown = [f for f in wanted if f not in FEATURES]
         if unknown:
             raise click.UsageError(f"unknown features: {', '.join(unknown)}")
-    records = _read(load_run_records, runs_path)
+    records = _read_runs(runs_path)
     sizes, presence, path_counts = _read(load_scan_tables, sizes_path)
     metrics = _all_metrics(records, window)
     try:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import json.scanner
 import os
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Mapping
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -90,7 +90,7 @@ def _float_text(value: float) -> str:
 
 
 def _scalar_text(value) -> str | None:
-    """The JSON text of a scalar, typed in :mod:`json`'s order; None for an array, object or iterator."""
+    """The JSON text of a scalar, typed in :mod:`json`'s order; None for an array, object, iterator or mapping."""
     if isinstance(value, str):
         return _string(value)
     if value is None:
@@ -103,7 +103,7 @@ def _scalar_text(value) -> str | None:
         return _int_text(value)
     if isinstance(value, float):
         return _float_text(value)
-    if isinstance(value, (list, tuple, dict, Iterator)):
+    if isinstance(value, (list, tuple, dict, Iterator, Mapping)):
         return None
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
@@ -131,7 +131,7 @@ def dumps_indented(value) -> str:
     for anything else come out as :mod:`json` makes them.  Unlike
     :mod:`json` it does not look for reference cycles: a cyclic value ends
     in ``RecursionError``, and it writes an iterator, which :mod:`json`
-    rejects, as a list.
+    rejects, as a list, and a mapping that is not a dict as an object.
     """
     out: list[str] = []
     _write(value, out, "\n", {})
@@ -142,7 +142,8 @@ def _write(value, out: list[str], newline: str, names: dict[str, str], write=Non
     """Append the text of ``value`` to ``out``, nested at the indent that ``newline`` ends in.
 
     ``names`` caches the ``"key": `` text of each string key seen so far.
-    An iterator is written as a list while it is drawn.  With ``write``
+    An iterator is written as a list while it is drawn, and a mapping that
+    is not a dict as an object, each value read as it is written.  With ``write``
     (a ``Callable[[str], None]``), a container that starts past
     :data:`_PIECES_PER_WRITE` pieces first passes the text in ``out`` to
     it and empties ``out``, so a streamed list goes out in bounded parts.
@@ -154,9 +155,10 @@ def _write(value, out: list[str], newline: str, names: dict[str, str], write=Non
         if text is not None:
             put(text)
             return
-        # a tuple, an iterator or a subclass of list or dict: written as its base type
-        kind = dict if isinstance(value, dict) else list
-        if kind is dict:
+        # a tuple, an iterator or a subclass of list or dict: written as its base type;
+        # another mapping as an object whose items are read as they are written
+        kind = dict if isinstance(value, Mapping) else list
+        if isinstance(value, dict):
             value = dict(value.items())
     if write is not None and len(out) >= _PIECES_PER_WRITE:
         write("".join(out))

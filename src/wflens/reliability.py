@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import groupby
@@ -31,7 +32,7 @@ from .stats import (
     linear_quantiles,
     mann_whitney_u,
 )
-from .stats.glm import _as_design, _Binomial, _Counts, _fit_logistic, _fit_negbin
+from .stats.glm import _ALL_ZERO, _RANK_DEFICIENT, _Binomial, _Counts, _fit_logistic, _fit_negbin, _full_rank
 
 log = logging.getLogger(__name__)
 
@@ -40,6 +41,10 @@ OUTCOME_METRICS = ("failure_rate", "n_commits", "ttr", "availability")
 ALPHA = 0.01
 MIN_RUNS = 3
 USAGE_BAND = (0.05, 0.95)
+_STACK_ROWS = 1 << 13
+"""Design rows (tables x workflows) that ``regress`` fits in one stack at most.
+Each per-row array of a stacked fit then stays within 64 KB, and the fit's
+working set near 1 MB, however many tables and workflows there are."""
 
 
 class RunRecord(NamedTuple):
@@ -51,18 +56,19 @@ class RunRecord(NamedTuple):
     conclusion: str
 
 
-def load_run_records(path: str | Path) -> list[RunRecord]:
+def load_run_records(path: str | Path, warn: Callable[[str], object] = log.warning) -> list[RunRecord]:
     """Read run records from JSONL, sorted by (workflow_id, committed_at).
 
-    Unknown conclusion strings map to ``other`` with a logged warning;
-    malformed lines raise with their line number.
+    Unknown conclusion strings map to ``other`` with a warning, passed to
+    ``warn`` (by default, logged); malformed lines raise with their line
+    number.
     """
     records: list[RunRecord] = []
     for lineno, row in read_jsonl(path, "run record", "runs file"):
         try:
             conclusion = str(row["conclusion"])
             if conclusion not in CONCLUSIONS:
-                log.warning("%s:%d: unknown conclusion %r mapped to 'other'", path, lineno, conclusion)
+                warn(f"{path}:{lineno}: unknown conclusion {conclusion!r} mapped to 'other'")
                 conclusion = "other"
             records.append(
                 RunRecord(
@@ -342,6 +348,13 @@ class RegressionRow:
     n: int
 
 
+def _designs(members: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """The stack of designs [1, x] of tables given as (position, x)."""
+    stack = np.ones((len(members), len(members[0][1]), 2))
+    stack[:, :, 1] = [x for _, x in members]
+    return stack
+
+
 def _regression_rows(
     tables: list[tuple[str, str, dict[str, float]]],
     metrics: list[ReliabilityMetrics],
@@ -351,34 +364,64 @@ def _regression_rows(
 
     A table with fewer than 3 workflows of ``min_runs`` counted runs or a
     constant x, and a fit that did not converge, give no row.  A workflow
-    with no counted run is never used: it has no failure odds.  Each design
-    is checked once for both fits, and the two outcomes are prepared once
-    per set of usable workflows a table covers (usually one for all tables).
+    with no counted run is never used: it has no failure odds.  Tables over
+    the same usable workflows (usually all of them) share their two
+    prepared outcomes and are fitted together, in stacks of at most
+    :data:`_STACK_ROWS` design rows, one stacked call per model; a table's
+    fits are those it would get alone.  Errors are raised in table order,
+    as fitting one table at a time would raise them.
     """
     usable = {m.workflow_id: m for m in metrics if m.n_runs_counted >= max(min_runs, 1)}
     terms = ("intercept", "slope")
+    # usable ids -> (position, x) of each table over them
+    groups: dict[tuple[str, ...], list[tuple[int, np.ndarray]]] = {}
+    unreadable = None  # the error of the first table whose ids or values cannot be read
+    for position, (_, _, table) in enumerate(tables):
+        try:
+            ids = tuple(w for w in sorted(table) if w in usable)
+            x = [float(table[w]) for w in ids]
+        except (TypeError, ValueError, OverflowError) as exc:
+            unreadable = exc  # raised after the errors of the tables before it
+            break
+        if len(ids) >= 3 and len(set(x)) >= 2:
+            groups.setdefault(ids, []).append((position, np.array(x)))
+    stacks = []  # (ids, [(position, x), ...]) of each stack of at most _STACK_ROWS design rows
+    for ids, members in groups.items():
+        size = max(1, _STACK_ROWS // len(ids))
+        stacks.extend((ids, members[start : start + size]) for start in range(0, len(members), size))
+    checks = [  # (position, ids, full rank) of each table fitted
+        (position, ids, full_rank)
+        for ids, members in stacks
+        for (position, _), full_rank in zip(members, _full_rank(_designs(members)).tolist())
+    ]
+
     outcomes: dict[tuple[str, ...], tuple[_Binomial, _Counts]] = {}
-    results = []
-    for predictor, analysis, table in tables:
-        ids = tuple(w for w in sorted(table) if w in usable)
-        x = [float(table[w]) for w in ids]
-        if len(ids) < 3 or len(set(x)) < 2:
-            continue
-        design = _as_design(np.column_stack([np.ones(len(x)), x]))
+    for _, ids, full_rank in sorted(checks, key=itemgetter(0)):
+        if not full_rank:
+            raise ValueError(_RANK_DEFICIENT)
         if ids not in outcomes:
             rows = [usable[w] for w in ids]
             outcomes[ids] = (
                 _Binomial([m.n_failures for m in rows], [m.n_runs_counted for m in rows]),
                 _Counts([m.n_commits for m in rows]),
             )
+        if not outcomes[ids][1].any_positive:
+            raise ValueError(_ALL_ZERO)
+    if unreadable is not None:
+        raise unreadable
+
+    fits = {}
+    for ids, members in stacks:
         binomial, counts = outcomes[ids]
-        fits = (
-            ("failure_rate", _fit_logistic(design, binomial, terms)),
-            ("n_commits", _fit_negbin(design, counts, terms)),
-        )
-        for outcome, fit in fits:
+        designs = _designs(members)
+        pairs = zip(_fit_logistic(designs, binomial, terms), _fit_negbin(designs, counts, terms))
+        fits.update((position, (len(ids), pair)) for (position, _), pair in zip(members, pairs))
+    results = []
+    for position, (n, pair) in sorted(fits.items()):
+        predictor, analysis, _ = tables[position]
+        for outcome, fit in zip(("failure_rate", "n_commits"), pair):
             if fit.converged:
-                results.append((predictor, outcome, analysis, effect_table(fit)[1], len(ids)))
+                results.append((predictor, outcome, analysis, effect_table(fit)[1], n))
 
     adjusted = bh_adjust([slope.p_value for _, _, _, slope, _ in results]) if results else []
     return [

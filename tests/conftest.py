@@ -1,3 +1,4 @@
+import importlib.util
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -8,8 +9,17 @@ import wflens
 from wflens.reliability import SIZE_METRICS, RunRecord
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 UTC = timezone.utc
+
+
+def bench_module(name: str):
+    """``bench/<name>.py``, loaded without putting ``bench`` on the path."""
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

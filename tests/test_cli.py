@@ -1,6 +1,9 @@
 """End-to-end CLI behaviour: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from wflens.cli import cli, main
 
 from conftest import FIXTURES, build_reliability_files
 
+SRC = str(Path(wflens.__file__).resolve().parents[1])
 CORPUS = str(FIXTURES / "corpus")
 MANIFEST = str(FIXTURES / "history" / "manifest.jsonl")
 RUNS = str(FIXTURES / "runs_semantics.jsonl")
@@ -285,6 +289,26 @@ def test_reliability_metrics_headline_values():
     assert rows["halffail"]["failure_rate"] == 0.5
     assert rows["norecovery"]["ttr_seconds"] is None
     assert list(rows) == sorted(rows)
+
+
+def test_run_loader_warnings_do_not_depend_on_the_root_logging_handler(tmp_path):
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text(
+        '{"workflow_id": "w", "commit_sha": "s", "committed_at": "2023-01-02T00:00:00Z", "conclusion": "timed_out"}\n',
+        encoding="utf-8",
+    )
+    argv = ["reliability", "metrics", "--runs", str(runs), "--window", WINDOW]
+    command = "import sys; from wflens.cli import main; main(sys.argv[1:])"
+    root_handler = "import logging; logging.basicConfig(format='%(levelname)s:%(name)s:%(message)s'); "
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    plain, configured = (
+        subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env)
+        for code in (command, root_handler + command)
+    )
+    assert plain.returncode == configured.returncode == 0
+    assert plain.stderr == f"{runs}:1: unknown conclusion 'timed_out' mapped to 'other'\n".encode()
+    assert configured.stderr == plain.stderr
+    assert configured.stdout == plain.stdout
 
 
 def test_reliability_compare_grid(clienv):

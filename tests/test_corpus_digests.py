@@ -18,9 +18,7 @@ To re-record after an intended output change, run
 """
 
 import hashlib
-import importlib.util
 import json
-import logging
 import os
 import random
 import sys
@@ -33,7 +31,8 @@ from click.testing import CliRunner
 from wflens.cli import cli
 from wflens.model import discover_workflow_files
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+from conftest import bench_module
+
 DIGESTS = Path(__file__).parent / "fixtures" / "corpus_digests.json"
 
 CORPORA = {
@@ -66,20 +65,12 @@ RELIABILITY_COMMANDS = {
 RELIABILITY_CASES = [f"{pair}-{c}" for pair in PAIRS for c in RELIABILITY_COMMANDS]
 
 
-def _bench_module(name: str):
-    """``bench/<name>.py``, loaded without putting ``bench`` on the path."""
-    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-gen_runs = _bench_module("gen_runs")
+gen_runs = bench_module("gen_runs")
 
 
 def generate(root: Path) -> None:
     """Write every corpus of :data:`CORPORA` and every pair of :data:`PAIRS` under ``root``."""
-    gen_corpus = _bench_module("gen_corpus")
+    gen_corpus = bench_module("gen_corpus")
     for name, (n, seed, tiny) in CORPORA.items():
         gen_corpus.generate_corpus(root / name, n, seed, tiny=tiny, malformed_rate=0.03)
     for name, (n, seed) in PAIRS.items():
@@ -116,16 +107,7 @@ def case_argv(case: str) -> list[str]:
 def output_digest(case: str) -> str:
     """The digest of (argv, exit code, stdout, stderr) of ``case``, run from the inputs' parent."""
     argv = case_argv(case)
-    # A real process writes the run loader's warnings through logging's last
-    # resort handler; under pytest the log capture would take them instead.
-    log = logging.getLogger("wflens.reliability")
-    log.addHandler(logging.lastResort)
-    log.propagate = False
-    try:
-        result = CliRunner().invoke(cli, argv)
-    finally:
-        log.removeHandler(logging.lastResort)
-        log.propagate = True
+    result = CliRunner().invoke(cli, argv)
     if result.exception is not None and not isinstance(result.exception, SystemExit):
         raise result.exception
     return _sha256([argv, result.exit_code, result.stdout, result.stderr])

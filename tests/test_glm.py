@@ -377,7 +377,7 @@ def test_update_theta_finds_the_profile_maximum(obs):
         # to full precision, which the solver's own stopping rule must match
         reference = brentq(glm._theta_score, lo, hi, args=(tails, mu), xtol=1e-300, rtol=1e-15, maxiter=500)
     for start in (lo, 1.0, hi):
-        theta, note = glm._update_theta(tails, mu, start)
+        (theta,), (note,) = glm._update_theta(tails, mu[None], np.array([start]))  # a stack of one
         assert lo <= theta <= hi
         assert (note is None) == (lo < reference < hi)
         ours, theirs = _profile_ll(tails, mu, theta), _profile_ll(tails, mu, reference)

@@ -1,6 +1,7 @@
 """A streamed JSON document: iterators are drawn as they are written, and the text
 goes out in bounded parts that join to what ``dumps_indented`` writes."""
 
+from types import MappingProxyType
 from unittest import mock
 
 from hypothesis import given, settings
@@ -12,11 +13,12 @@ from test_json_writer import values
 
 
 def streamed(value):
-    """``value`` with every list and tuple inside it turned into an iterator."""
+    """``value`` with every list and tuple inside it turned into an iterator, and
+    every dict into a mapping that is not a dict."""
     if isinstance(value, (list, tuple)):
         return iter([streamed(item) for item in value])
     if isinstance(value, dict):
-        return {key: streamed(item) for key, item in value.items()}
+        return MappingProxyType({key: streamed(item) for key, item in value.items()})
     return value
 
 
