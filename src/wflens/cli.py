@@ -6,9 +6,6 @@ Exit codes: 0 success, 1 lint warnings or failed validation checks,
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from datetime import datetime
@@ -33,6 +30,7 @@ from .catalog import (
     validate_catalog,
 )
 from .corpus import (
+    EvolutionSeries,
     corpus_stats,
     corpus_stats_to_dict,
     evolution_series,
@@ -40,7 +38,7 @@ from .corpus import (
     materialize_snapshots,
     month_range,
 )
-from .instants import _write, parse_instant
+from .instants import _write, dumps_line, parse_instant
 from .lint import Diagnostic, default_risk_model, diagnostic_to_dict, evaluate, load_risk_model
 from .metrics import SIZE_METRICS, WorkflowMetrics, round4
 from .model import discover_workflow_files
@@ -87,10 +85,6 @@ def _echo_lines(lines: Iterable[str]) -> None:
     while batch := list(islice(lines, LINES_PER_WRITE)):
         click.echo("\n".join(batch))
         del batch  # before the next is drawn: two batches alive at once grow the heap
-
-
-_json_line = json.JSONEncoder(sort_keys=True).encode
-"""``json.dumps(value, sort_keys=True)`` without building an encoder per call."""
 
 
 def _load(what: str, load: Callable[[str], T], path: str | None, default: Callable[[], T]) -> T:
@@ -391,16 +385,16 @@ def _metric_reader(metric: str) -> Callable[[WorkflowMetrics], float]:
     )
 
 
-def _months(start: str, end: str) -> list[str]:
+def _evolution_series(
+    manifest: str, start: str, end: str, metric: str, catalog_path: str | None
+) -> EvolutionSeries:
+    """The monthly series of ``metric``; its usage errors are raised before any input is read."""
+    read = _metric_reader(metric)
     try:
-        return month_range(start, end)
+        months = month_range(start, end)
     except ValueError as exc:
         raise click.UsageError(f"bad --from/--to: {exc}") from exc
-
-
-def _monthly_values(
-    manifest: str, months: list[str], read: Callable[[WorkflowMetrics], float], catalog: Catalog
-) -> list[tuple[str, list[float]]]:
+    catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
     try:
         snapshots = materialize_snapshots(load_history_manifest(manifest), months)
     except (OSError, ValueError) as exc:
@@ -418,7 +412,7 @@ def _monthly_values(
                 cache[interval.file] = read(result.metrics)
             values.append(cache[interval.file])
         values_by_month.append((month, values))
-    return values_by_month
+    return evolution_series(values_by_month, metric)
 
 
 manifest_option = click.option(
@@ -446,24 +440,16 @@ def corpus_evolve(
     manifest: str, start: str, end: str, metric: str, catalog_path: str | None, fmt: str
 ) -> None:
     """Monthly aggregates of one metric over snapshotted corpora."""
-    read = _metric_reader(metric)
-    months = _months(start, end)
-    catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
-    values_by_month = _monthly_values(manifest, months, read, catalog)
-    series = evolution_series(values_by_month, metric)
-
+    series = _evolution_series(manifest, start, end, metric, catalog_path)
     if fmt == "json":
         _emit_json({"metric": series.metric, "points": [_fields(p) for p in series.points]})
         return
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["month", "n", "mean", "median", "q1", "q3"])
-    for p in series.points:
-        row = [p.month, p.n] + [
-            "" if v is None else format(v, ".6g") for v in (p.mean, p.median, p.q1, p.q3)
-        ]
-        writer.writerow(row)
-    click.echo(buffer.getvalue(), nl=False)
+    # A month, a count and .6g numbers hold no comma, quote or newline: no field needs CSV quoting.
+    rows = (
+        [p.month, str(p.n), *("" if v is None else format(v, ".6g") for v in (p.mean, p.median, p.q1, p.q3))]
+        for p in series.points
+    )
+    _echo_lines(map(",".join, chain([["month", "n", "mean", "median", "q1", "q3"]], rows)))
 
 
 @corpus_group.command("trend")
@@ -490,11 +476,7 @@ def corpus_trend(
     alpha: float,
 ) -> None:
     """Mann-Kendall monotonic-trend test on a monthly aggregate."""
-    read = _metric_reader(metric)
-    months = _months(start, end)
-    catalog = _load("catalog", load_catalog, catalog_path, default_catalog)
-    values_by_month = _monthly_values(manifest, months, read, catalog)
-    series = evolution_series(values_by_month, metric)
+    series = _evolution_series(manifest, start, end, metric, catalog_path)
     used = [p for p in series.points if p.n > 0]
     values = [getattr(p, agg) for p in used]
     try:
@@ -570,7 +552,7 @@ def reliability_metrics_cmd(runs_path: str, window_text: str, fmt: str) -> None:
     if fmt == "json":
         _emit_json(rows)
     else:
-        _echo_lines(map(_json_line, rows))
+        _echo_lines(map(dumps_line, rows))
 
 
 @reliability_group.command("compare")

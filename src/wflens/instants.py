@@ -1,5 +1,6 @@
 """JSON in and out: instants, JSON type checks, JSONL records of runs, manifests
-and scans, the bundled data files, and the indented JSON that commands print."""
+and scans, the bundled data files, and the JSON lines and indented JSON that
+commands print."""
 
 from __future__ import annotations
 
@@ -115,6 +116,10 @@ def _name_text(key) -> str:
     if key is None or isinstance(key, (int, float)):
         return _string(_scalar_text(key)) + ": "
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+dumps_line = json.JSONEncoder(sort_keys=True).encode
+"""``json.dumps(value, sort_keys=True)``: the text of one JSON line, from an encoder built once."""
 
 
 _PIECES_PER_WRITE = 8192

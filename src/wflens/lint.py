@@ -143,7 +143,21 @@ def _size_diagnostics(
             continue
         t1, t2 = model.thresholds[metric]
         value = metrics.size_metric(metric)
+        if not value > t1:
+            continue
         effect = model.size_effects.get(metric)
+        if value > t2:
+            rule_id, severity = _WARN_CODES[metric], "warn"
+            detail = f"exceeds the high-size threshold {t2:g};"
+            if effect is not None:
+                detail += (
+                    f" each unit is associated with {effect.failure_or}x failure odds"
+                    f" and {effect.commits_irr}x maintenance commits;"
+                )
+        else:
+            rule_id, severity = _INFO_CODES[metric], "info"
+            detail = f"lies in the mid-size band ({t1:g}, {t2:g}]."
+        message = f"{_METRIC_LABELS[metric]} = {value:g} {detail} {CAVEAT}"
         evidence = {
             "metric": metric,
             "value": round(value, 4),
@@ -152,91 +166,36 @@ def _size_diagnostics(
         if effect is not None:
             evidence["failure_or_per_unit"] = effect.failure_or
             evidence["commits_irr_per_unit"] = effect.commits_irr
-        label = _METRIC_LABELS[metric]
-        if value > t2:
-            per_unit = (
-                f" each unit is associated with {effect.failure_or}x failure odds"
-                f" and {effect.commits_irr}x maintenance commits;"
-                if effect
-                else ""
-            )
-            out.append(
-                Diagnostic(
-                    rule_id=_WARN_CODES[metric],
-                    severity="warn",
-                    file=file,
-                    message=(
-                        f"{label} = {_fmt(value)} exceeds the high-size threshold {_fmt(t2)};"
-                        f"{per_unit} {CAVEAT}"
-                    ),
-                    evidence=evidence,
-                )
-            )
-        elif value > t1:
-            out.append(
-                Diagnostic(
-                    rule_id=_INFO_CODES[metric],
-                    severity="info",
-                    file=file,
-                    message=(
-                        f"{label} = {_fmt(value)} lies in the mid-size band"
-                        f" ({_fmt(t1)}, {_fmt(t2)}]. {CAVEAT}"
-                    ),
-                    evidence=evidence,
-                )
-            )
+        out.append(Diagnostic(rule_id, severity, file, message, evidence))
     return out
-
-
-def _fmt(value: float) -> str:
-    return f"{value:g}"
 
 
 def _feature_diagnostic(
     feature: str, usage: FeatureUsage, effect: FeatureEffect, file: str
 ) -> Diagnostic | None:
+    odds, rate = effect.presence_or, effect.presence_irr
+    if odds is not None and odds > 1:
+        severity = "warn"
+        detail = f" {odds}x failure odds"
+        if rate is not None:
+            detail += f" and {rate}x maintenance commits"
+    elif rate is not None and rate > 1:
+        severity = "info"
+        detail = f" {rate}x maintenance commits"
+        if odds is not None:
+            detail = f" lower failure odds ({odds}x) but" + detail
+    else:
+        return None
+    message = f"uses {feature.replace('_', ' ')}: associated with{detail}. {CAVEAT}"
     evidence = {
         "feature": feature,
         "n_paths": usage.n_paths,
-        "presence_or": effect.presence_or,
-        "presence_irr": effect.presence_irr,
+        "presence_or": odds,
+        "presence_irr": rate,
         "per_path_or": effect.per_path_or,
         "per_path_irr": effect.per_path_irr,
     }
-    title = feature.replace("_", " ")
-    if effect.presence_or is not None and effect.presence_or > 1:
-        irr_part = (
-            f" and {effect.presence_irr}x maintenance commits"
-            if effect.presence_irr is not None
-            else ""
-        )
-        return Diagnostic(
-            rule_id=_FEATURE_CODES[feature],
-            severity="warn",
-            file=file,
-            message=(
-                f"uses {title}: associated with {effect.presence_or}x failure"
-                f" odds{irr_part}. {CAVEAT}"
-            ),
-            evidence=evidence,
-        )
-    if effect.presence_irr is not None and effect.presence_irr > 1:
-        or_part = (
-            f" lower failure odds ({effect.presence_or}x) but"
-            if effect.presence_or is not None
-            else ""
-        )
-        return Diagnostic(
-            rule_id=_FEATURE_CODES[feature],
-            severity="info",
-            file=file,
-            message=(
-                f"uses {title}: associated with{or_part}"
-                f" {effect.presence_irr}x maintenance commits. {CAVEAT}"
-            ),
-            evidence=evidence,
-        )
-    return None
+    return Diagnostic(_FEATURE_CODES[feature], severity, file, message, evidence)
 
 
 def evaluate(
@@ -273,10 +232,5 @@ def evaluate(
 
 
 def diagnostic_to_dict(diagnostic: Diagnostic) -> dict:
-    return {
-        "rule_id": diagnostic.rule_id,
-        "severity": diagnostic.severity,
-        "file": diagnostic.file,
-        "message": diagnostic.message,
-        "evidence": diagnostic.evidence,
-    }
+    """The diagnostic's fields as a new dict, which holds the diagnostic's own ``evidence``."""
+    return dict(vars(diagnostic))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
@@ -24,6 +23,7 @@ from .catalog import (
     default_catalog,
     tally_constructs,
 )
+from .instants import dumps_line
 from .metrics import (
     _ABSENT,
     FeatureUsage,
@@ -175,8 +175,6 @@ def scan_record(result: ScanResult) -> dict:
     return _record(result, _features_to_dict)
 
 
-_json = json.JSONEncoder(sort_keys=True).encode
-
 CACHED_USAGES = 2048
 """Bound on the JSON texts of distinct feature usages that :func:`scan_line` keeps."""
 
@@ -184,14 +182,14 @@ _usage_fields = attrgetter(*(field.name for field in dataclass_fields(FeatureUsa
 _TALLIED = (bool, int, int, float, float, float, bool)
 """Field types of a present feature's usage, as ``metrics_from_tally`` makes it."""
 
-_ABSENT_JSON = _json(_usage_to_dict(_ABSENT))
-_FEATURE_KEYS = [(feature, _json(feature) + ": ") for feature in sorted(FEATURES)]
+_ABSENT_JSON = dumps_line(_usage_to_dict(_ABSENT))
+_FEATURE_KEYS = [(feature, dumps_line(feature) + ": ") for feature in sorted(FEATURES)]
 _BOOL_JSON = {False: "false", True: "true"}
 
 
 @lru_cache(maxsize=CACHED_USAGES)
 def _tallied_usage_json(fields: tuple) -> str:
-    """``_json(_usage_to_dict(FeatureUsage(*fields)))`` for tallied types and positive finite floats.
+    """``dumps_line(_usage_to_dict(FeatureUsage(*fields)))`` for tallied types and positive finite floats.
 
     For these, json writes a bool as ``true``/``false`` and an int or a
     float as its ``repr``, so the text is formatted here directly.
@@ -215,7 +213,7 @@ def _usage_json(usage: FeatureUsage) -> str:
     # its own way: only tallied types and positive finite floats go there.
     if tuple(map(type, fields)) == _TALLIED and 0.0 < coverage < inf and 0.0 < ratio < inf and 0.0 < capped < inf:
         return _tallied_usage_json(fields)
-    return _json(_usage_to_dict(usage))
+    return dumps_line(_usage_to_dict(usage))
 
 
 def _features_json(metrics: WorkflowMetrics) -> str:
@@ -228,6 +226,6 @@ def scan_line(result: ScanResult) -> str:
     record = _record(result, _features_json)
     features = record.pop("features", None)
     if features is None:  # a parse failure
-        return _json(record)
+        return dumps_line(record)
     # "features" sorts before every other key of a parsed file's record
-    return '{"features": ' + features + ", " + _json(record)[1:]
+    return '{"features": ' + features + ", " + dumps_line(record)[1:]

@@ -196,7 +196,11 @@ def _gain(x, eta, step, a, b, c) -> np.ndarray:
     total log-likelihood, as it is near convergence.
     """
     d = _clip(eta + _matvec(x, step)) - eta
-    return np.add.reduce(a * d - b * np.log1p(c * np.expm1(d)), axis=-1)
+    # Where c * expm1(d) rounds to -1, log1p gives -inf and the gain +inf:
+    # its sign is what the halving test reads.
+    with np.errstate(divide="ignore"):
+        loss = b * np.log1p(c * np.expm1(d))
+    return np.add.reduce(a * d - loss, axis=-1)
 
 
 def _standard_errors(x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -14,6 +14,11 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 UTC = timezone.utc
 
 
+def pytest_configure(config):
+    # A numpy warning raised inside the library is a fault: fail the test that sees it.
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning:wflens")
+
+
 def bench_module(name: str):
     """``bench/<name>.py``, loaded without putting ``bench`` on the path."""
     spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")

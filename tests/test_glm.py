@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,18 @@ def test_negative_binomial_fit_held_at_the_clip_is_not_converged():
     assert "near-Poisson" in fit.diagnostic
     with pytest.raises(ValueError, match="converged"):
         effect_table(fit)
+
+
+def test_gain_of_a_step_to_the_clip_is_taken_without_a_warning():
+    # The lone row with a count pulls steps to where 1 + c * expm1(d) rounds to 0:
+    # log1p gives -inf, the gain is +inf, and numpy must not warn about either.
+    x = np.column_stack([np.ones(2001), [0.0] * 2000 + [1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_negative_binomial(x, [0] * 2000 + [1000])
+    assert not fit.converged
+    assert "coefficients diverging" in fit.diagnostic
+    assert "near-Poisson" in fit.diagnostic
 
 
 def test_effect_table_ratios_past_the_float_range_are_infinite():
