@@ -1,11 +1,13 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 lint warnings or failed validation checks,
-2 input or parse failures, 64 usage errors.
+2 input or parse failures, 64 usage errors, 74 a failed write to stdout.
 """
 
 from __future__ import annotations
 
+import errno
+import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from datetime import datetime
@@ -38,7 +40,7 @@ from .corpus import (
     materialize_snapshots,
     month_range,
 )
-from .instants import _write, dumps_line, parse_instant
+from .instants import _scalar_text, _write, parse_instant
 from .lint import Diagnostic, default_risk_model, diagnostic_to_dict, evaluate, load_risk_model
 from .metrics import SIZE_METRICS, WorkflowMetrics, round4
 from .model import discover_workflow_files
@@ -68,11 +70,27 @@ class InputError(click.ClickException):
     exit_code = 2
 
 
+class StdoutError(Exception):
+    """An :class:`OSError` (its ``__cause__``) from a write to stdout: maps to exit code 74.
+
+    Not an :class:`OSError` itself, so click passes it on instead of
+    mapping a closed pipe to exit code 1.
+    """
+
+
+def _echo(text: str, nl: bool = True) -> None:
+    """``click.echo(text)`` on stdout, a failed write raised as :class:`StdoutError`."""
+    try:
+        click.echo(text, nl=nl)
+    except OSError as exc:
+        raise StdoutError() from exc
+
+
 def _emit_json(data: object) -> None:
     """Echo ``dumps_indented(data)`` in bounded parts, drawing each iterator in it as written."""
     out: list[str] = []
-    _write(data, out, "\n", {}, partial(click.echo, nl=False))
-    click.echo("".join(out))
+    _write(data, out, "\n", {}, partial(_echo, nl=False))
+    _echo("".join(out))
 
 
 LINES_PER_WRITE = 256
@@ -83,7 +101,7 @@ def _echo_lines(lines: Iterable[str]) -> None:
     """Echo each of ``lines`` and a newline, LINES_PER_WRITE lines at a time."""
     lines = iter(lines)
     while batch := list(islice(lines, LINES_PER_WRITE)):
-        click.echo("\n".join(batch))
+        _echo("\n".join(batch))
         del batch  # before the next is drawn: two batches alive at once grow the heap
 
 
@@ -308,7 +326,7 @@ def catalog_validate(catalog_path: str | None) -> None:
     report = validate_catalog(catalog)
     for check in report.checks:
         mark = "ok" if check.passed else "FAIL"
-        click.echo(f"{mark} {check.name}: {check.actual}" + ("" if check.passed else f" (expected {check.expected})"))
+        _echo(f"{mark} {check.name}: {check.actual}" + ("" if check.passed else f" (expected {check.expected})"))
     if not report.ok:
         sys.exit(1)
 
@@ -536,6 +554,17 @@ def _metrics_row(m: ReliabilityMetrics) -> dict:
     }
 
 
+def _metrics_line(m: ReliabilityMetrics) -> str:
+    """``dumps_line(_metrics_row(m))``, written directly: keys in sorted order."""
+    ttr = None if m.ttr is None else m.ttr.total_seconds()
+    return (
+        f'{{"availability": {_scalar_text(_num(m.availability))}, '
+        f'"failure_rate": {_scalar_text(_num(m.failure_rate))}, '
+        f'"n_commits": {_scalar_text(m.n_commits)}, "n_runs_counted": {_scalar_text(m.n_runs_counted)}, '
+        f'"ttr_seconds": {_scalar_text(ttr)}, "workflow_id": {_scalar_text(m.workflow_id)}}}'
+    )
+
+
 @reliability_group.command("metrics")
 @runs_option
 @window_option
@@ -548,11 +577,11 @@ def reliability_metrics_cmd(runs_path: str, window_text: str, fmt: str) -> None:
     records = _read_runs(runs_path)
     if not records:
         raise InputError(f"no run records in {runs_path}")
-    rows = map(_metrics_row, _all_metrics(records, window))
+    metrics = _all_metrics(records, window)
     if fmt == "json":
-        _emit_json(rows)
+        _emit_json(map(_metrics_row, metrics))
     else:
-        _echo_lines(map(dumps_line, rows))
+        _echo_lines(map(_metrics_line, metrics))
 
 
 @reliability_group.command("compare")
@@ -650,7 +679,7 @@ def reliability_regress(
 
 
 def main(argv: list[str] | None = None) -> None:
-    """Entry point mapping usage mistakes to exit code 64."""
+    """Entry point mapping usage mistakes to exit code 64 and a failed write to stdout to 74."""
     try:
         cli.main(args=argv, prog_name="wflens", standalone_mode=False)
     except click.exceptions.Exit as exc:
@@ -661,6 +690,12 @@ def main(argv: list[str] | None = None) -> None:
     except click.ClickException as exc:
         exc.show()
         sys.exit(exc.exit_code)
+    except StdoutError as exc:
+        if exc.__cause__.errno != errno.EPIPE:  # a reader that left needs no message
+            click.echo(f"Error: cannot write to stdout: {exc.__cause__}", err=True)
+        # what stdout still buffers goes nowhere, so the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        sys.exit(74)
     sys.exit(0)
 
 

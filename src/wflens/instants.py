@@ -11,6 +11,8 @@ from collections.abc import Callable, Iterator, Mapping
 from datetime import datetime, timezone
 from pathlib import Path
 
+_UTC = timezone.utc
+
 
 def parse_instant(text: str) -> datetime:
     """An ISO 8601 instant in UTC; a time without a zone is taken as UTC.
@@ -21,10 +23,13 @@ def parse_instant(text: str) -> datetime:
     if not isinstance(text, str):
         raise ValueError(f"instant must be a string, not {text!r}")
     value = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    if value.tzinfo is None:
-        value = value.replace(tzinfo=timezone.utc)
+    zone = value.tzinfo
+    if zone is _UTC:  # what astimezone(_UTC) would return
+        return value
+    if zone is None:
+        return value.replace(tzinfo=_UTC)
     try:
-        return value.astimezone(timezone.utc)
+        return value.astimezone(_UTC)
     except OverflowError as exc:
         raise ValueError(f"instant {text!r} is out of range in UTC") from exc
 

@@ -12,7 +12,7 @@ import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -57,30 +57,40 @@ class RunRecord(NamedTuple):
 
 
 def load_run_records(path: str | Path, warn: Callable[[str], object] = log.warning) -> list[RunRecord]:
-    """Read run records from JSONL, sorted by (workflow_id, committed_at).
+    """Read run records from JSONL, in any line order, sorted by (workflow_id, committed_at).
 
     Unknown conclusion strings map to ``other`` with a warning, passed to
     ``warn`` (by default, logged); malformed lines raise with their line
-    number.
+    number.  Runs with equal keys keep their line order.  On lines whose
+    instants never decrease, each workflow's runs are already in time
+    order, and the records are sorted by workflow id alone.
     """
     records: list[RunRecord] = []
+    append = records.append
+    new = tuple.__new__  # skips the NamedTuple's generated Python __new__
+    # one string per workflow id and per conclusion, so equal ones compare by identity
+    ids: dict[str, str] = {}
+    known = {c: c for c in CONCLUSIONS}
+    in_time_order = True
+    last = datetime.min.replace(tzinfo=timezone.utc)
     for lineno, row in read_jsonl(path, "run record", "runs file"):
         try:
-            conclusion = str(row["conclusion"])
-            if conclusion not in CONCLUSIONS:
-                warn(f"{path}:{lineno}: unknown conclusion {conclusion!r} mapped to 'other'")
+            text = str(row["conclusion"])
+            conclusion = known.get(text)
+            if conclusion is None:
+                warn(f"{path}:{lineno}: unknown conclusion {text!r} mapped to 'other'")
                 conclusion = "other"
-            records.append(
-                RunRecord(
-                    str(row["workflow_id"]),
-                    str(row["commit_sha"]),
-                    parse_instant(row["committed_at"]),
-                    conclusion,
-                )
-            )
+            workflow_id = str(row["workflow_id"])
+            commit_sha = str(row["commit_sha"])
+            committed_at = parse_instant(row["committed_at"])
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: malformed run record: {exc}") from exc
-    records.sort(key=itemgetter(0, 2))  # (workflow_id, committed_at)
+        append(new(RunRecord, (ids.setdefault(workflow_id, workflow_id), commit_sha, committed_at, conclusion)))
+        if committed_at < last:
+            in_time_order = False
+        last = committed_at
+    # both sorts are stable: on time-ordered lines each workflow's runs are in time order already
+    records.sort(key=itemgetter(0) if in_time_order else itemgetter(0, 2))
     return records
 
 
@@ -158,39 +168,41 @@ def reliability_metrics(
         raise ValueError("window end must be after its start")
     if not records:
         raise ValueError("no run records supplied")
-    workflow_id = records[0].workflow_id
+    workflow_id = records[0][0]
     for r in records:
-        if r.workflow_id != workflow_id:
+        if r[0] != workflow_id:
             raise ValueError("records of multiple workflows passed to reliability_metrics")
 
     # stable, and linear on the time-sorted runs that load_run_records gives
-    in_window = sorted([r for r in records if start <= r.committed_at <= end], key=itemgetter(2))
-    n_commits = len({r.commit_sha for r in in_window})
-    counted = [r for r in in_window if r.conclusion in ("success", "failure")]
-    failed = [r.conclusion == "failure" for r in counted]
-    failures = failed.count(True)
+    in_window = sorted([r for r in records if start <= r[2] <= end], key=itemgetter(2))
+    n_commits = len({r[1] for r in in_window})
+    # (committed_at, failed) of each success or failure run, in time order
+    counted = [(r[2], r[3] == "failure") for r in in_window if r[3] in ("success", "failure")]
+    failures = sum(map(itemgetter(1), counted))
 
     failure_rate = failures / len(counted) if counted else None
 
     ttr: timedelta | None = None
     if failures:
         # counted is time-sorted: no run before the first failure is later than it
-        first = failed.index(True)
-        broke = counted[first].committed_at
-        for run in counted[first + 1 :]:
-            if run.conclusion == "success" and run.committed_at > broke:
-                ttr = run.committed_at - broke
+        runs = iter(counted)
+        for broke, run_failed in runs:
+            if run_failed:
+                break
+        for at, run_failed in runs:
+            if not run_failed and at > broke:
+                ttr = at - broke
                 break
 
     availability: float | None = None
     if counted:
         failed_time = timedelta(0)
-        state = failed[0]  # backfill before the first counted run
+        state = counted[0][1]  # backfill before the first counted run
         cursor = start
-        for run, run_failed in zip(counted, failed):
+        for at, run_failed in counted:
             if state:
-                failed_time += run.committed_at - cursor
-            cursor = run.committed_at
+                failed_time += at - cursor
+            cursor = at
             state = run_failed
         if state:
             failed_time += end - cursor

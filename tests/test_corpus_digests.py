@@ -9,6 +9,9 @@ too) writes seeds 1-2 of a 300-workflow runs/sizes pair next to them, and
 ``reliability metrics`` (jsonl and json) and ``reliability compare`` run on
 each pair over the generator's window.  One sha256 over (argv, exit code,
 stdout, stderr) per case is compared with ``fixtures/corpus_digests.json``.
+``reliability metrics`` on the seed-1 runs in shuffled, workflow-grouped and
+reverse line order must give the time-ordered case's digest, with each
+warning mapped back to its line in the time-ordered file.
 The generated files are digested too, so that a change to a generator or
 to PyYAML's emitter fails as "input changed", not as a wrong output.  The
 corpus digests hold for libyaml's error wording.  ``reliability regress``
@@ -135,6 +138,48 @@ def test_output_digest_matches_recording(case, corpora, recorded, monkeypatch):
     corpus = case.split("-", 1)[0]
     assert inputs[corpus] == recorded["inputs"][corpus], f"{corpus}: input changed"
     assert output_digest(case) == recorded["outputs"][case], f"{case}: output changed"
+
+
+RUN_ORDERS = ("shuffled", "grouped", "reverse")
+"""Line orders of the seed-1 runs file that ``reliability metrics`` must not see."""
+
+
+def reordered(lines: list[str], order: str) -> list[int]:
+    """The indices of ``lines`` (JSON runs in time order) in a shuffled, workflow-grouped or reverse order."""
+    indices = list(range(len(lines)))
+    if order == "shuffled":
+        random.Random(1).shuffle(indices)
+    elif order == "grouped":
+        indices.sort(key=lambda i: json.loads(lines[i])["workflow_id"])
+    else:
+        indices.reverse()
+    return indices
+
+
+@pytest.mark.parametrize("order", RUN_ORDERS)
+def test_run_line_order_keeps_the_metrics_digest(order, corpora, recorded, monkeypatch):
+    """Each warning is mapped back to its line in the time-ordered file, and the
+    warnings to that file's order; then the digest is the time-ordered case's."""
+    root, inputs = corpora
+    case = "runs1-reliability-metrics-jsonl"
+    argv = case_argv(case)
+    lines = (root / "runs1" / "runs.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    indices = reordered(lines, order)
+    assert indices != sorted(indices)
+    (root / order / "runs1").mkdir(parents=True)
+    (root / order / "runs1" / "runs.jsonl").write_text("".join(lines[i] for i in indices), encoding="utf-8")
+    monkeypatch.chdir(root / order)
+    result = CliRunner().invoke(cli, argv)
+    prefix = "runs1/runs.jsonl:"
+    warnings = []
+    for line in result.stderr.splitlines(keepends=True):
+        assert line.startswith(prefix), line
+        lineno, rest = line[len(prefix):].split(":", 1)
+        warnings.append((indices[int(lineno) - 1] + 1, rest))
+    assert warnings, "the pair has no unknown conclusion, so no line number is checked"
+    stderr = "".join(f"{prefix}{lineno}:{rest}" for lineno, rest in sorted(warnings))
+    assert inputs["runs1"] == recorded["inputs"]["runs1"], "runs1: input changed"
+    assert _sha256([argv, result.exit_code, result.stdout, stderr]) == recorded["outputs"][case]
 
 
 def record(root: Path) -> None:

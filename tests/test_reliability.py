@@ -1,13 +1,16 @@
 """Run-outcome metrics, tercile comparisons, outcome regressions."""
 
+import json
 import logging
 from datetime import datetime, timedelta, timezone
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wflens
+from wflens.instants import read_jsonl
 from wflens.reliability import (
     CONCLUSIONS,
     OUTCOME_METRICS,
@@ -161,6 +164,116 @@ def test_loader_sorts_records():
     records = wflens.load_run_records(FIXTURES / "runs_semantics.jsonl")
     keys = [(r.workflow_id, r.committed_at) for r in records]
     assert keys == sorted(keys)
+
+
+def oracle_parse_instant(text):
+    """parse_instant as it was before its UTC shortcut: part of the loader oracle."""
+    if not isinstance(text, str):
+        raise ValueError(f"instant must be a string, not {text!r}")
+    value = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    if value.tzinfo is None:
+        value = value.replace(tzinfo=timezone.utc)
+    try:
+        return value.astimezone(timezone.utc)
+    except OverflowError as exc:
+        raise ValueError(f"instant {text!r} is out of range in UTC") from exc
+
+
+def oracle_load_run_records(path, warn=logging.getLogger("wflens.reliability").warning):
+    """load_run_records as it was before the lean loader: the oracle."""
+    records = []
+    for lineno, row in read_jsonl(path, "run record", "runs file"):
+        try:
+            conclusion = str(row["conclusion"])
+            if conclusion not in CONCLUSIONS:
+                warn(f"{path}:{lineno}: unknown conclusion {conclusion!r} mapped to 'other'")
+                conclusion = "other"
+            records.append(
+                RunRecord(
+                    str(row["workflow_id"]),
+                    str(row["commit_sha"]),
+                    oracle_parse_instant(row["committed_at"]),
+                    conclusion,
+                )
+            )
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed run record: {exc}") from exc
+    records.sort(key=itemgetter(0, 2))  # (workflow_id, committed_at)
+    return records
+
+
+# Several texts per instant (zones, Z, naive UTC), so that runs tie and that
+# the text order of the lines is not their time order.
+INSTANT_TEXTS = [
+    "2023-01-01T00:00:00Z", "2023-01-01T05:00:00+05:00", "2023-01-01T00:00:00", "2022-12-31T21:00:00-03:00",
+    "2023-01-01T01:00:00Z", "2023-01-01T03:00:00+02:00", "2023-01-01T00:30:00-00:30",
+    "2023-01-02", "2023-01-01T23:59:59.500000+00:00", "2023-01-01T12:00:00+14:00",
+]
+RUN_ROWS = st.lists(
+    st.fixed_dictionaries({
+        "workflow_id": st.sampled_from(["a", "b", "c", 7, 2.5, True, None, ["a"], {"k": 1}]),
+        "commit_sha": st.sampled_from(["x", "y", 3]),
+        "committed_at": st.sampled_from(INSTANT_TEXTS),
+        "conclusion": st.sampled_from([*CONCLUSIONS, "timed_out", "", 0]),
+    }),
+    max_size=30,
+)
+MALFORMED_LINES = st.sampled_from([
+    '{"workflow_id": "a", "commit_sha": "x", "conclusion": "success"}',
+    '{"workflow_id": "a", "commit_sha": "x", "committed_at": "noon", "conclusion": "timed_out"}',
+    '{"commit_sha": "x", "committed_at": 5, "conclusion": "timed_out"}',
+    '{"workflow_id": "a", "commit_sha": "x", "committed_at": "9999-12-31T23:00:00-05:00", "conclusion": "success"}',
+    "[1, 2]",
+    '"run"',
+    '{"workflow_id": "a",',
+])
+LINE_ORDERS = ("time", "reverse", "grouped", "text", "shuffled")
+
+
+def ordered_lines(rows, order, rng):
+    """The JSON lines of ``rows`` in one of :data:`LINE_ORDERS` (each sort is stable)."""
+    if order in ("time", "reverse"):
+        rows = sorted(rows, key=lambda row: oracle_parse_instant(row["committed_at"]), reverse=order == "reverse")
+    elif order == "grouped":
+        rows = sorted(rows, key=lambda row: str(row["workflow_id"]))
+    elif order == "text":
+        rows = sorted(rows, key=lambda row: row["committed_at"])
+    else:
+        rows = rows[:]
+        rng.shuffle(rows)
+    return [json.dumps(row) for row in rows]
+
+
+def loaded(load, path):
+    """The records and the warnings of ``load(path)``, or its error and the warnings before it."""
+    warnings = []
+    try:
+        return load(path, warn=warnings.append), warnings
+    except ValueError as exc:
+        return f"ValueError: {exc}", warnings
+
+
+@pytest.fixture(scope="module")
+def runs_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("loader") / "runs.jsonl"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    RUN_ROWS,
+    st.sampled_from(LINE_ORDERS),
+    st.randoms(use_true_random=False),
+    st.one_of(st.none(), st.tuples(st.integers(0, 30), MALFORMED_LINES)),
+)
+def test_loader_matches_the_oracle_in_every_line_order(runs_path, rows, order, rng, malformed):
+    lines = ordered_lines(rows, order, rng)
+    if malformed is not None:
+        lines.insert(malformed[0], malformed[1])
+    runs_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    got, expected = loaded(wflens.load_run_records, runs_path), loaded(oracle_load_run_records, runs_path)
+    assert got == expected
+    if isinstance(got[0], list):
+        assert all(type(r) is RunRecord for r in got[0])
 
 
 def oracle_reliability_metrics(records, window):
