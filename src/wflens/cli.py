@@ -40,7 +40,7 @@ from .corpus import (
     materialize_snapshots,
     month_range,
 )
-from .instants import _scalar_text, _write, parse_instant
+from .instants import _write, dumps_line, parse_instant
 from .lint import Diagnostic, default_risk_model, diagnostic_to_dict, evaluate, load_risk_model
 from .metrics import SIZE_METRICS, WorkflowMetrics, round4
 from .model import discover_workflow_files
@@ -554,17 +554,6 @@ def _metrics_row(m: ReliabilityMetrics) -> dict:
     }
 
 
-def _metrics_line(m: ReliabilityMetrics) -> str:
-    """``dumps_line(_metrics_row(m))``, written directly: keys in sorted order."""
-    ttr = None if m.ttr is None else m.ttr.total_seconds()
-    return (
-        f'{{"availability": {_scalar_text(_num(m.availability))}, '
-        f'"failure_rate": {_scalar_text(_num(m.failure_rate))}, '
-        f'"n_commits": {_scalar_text(m.n_commits)}, "n_runs_counted": {_scalar_text(m.n_runs_counted)}, '
-        f'"ttr_seconds": {_scalar_text(ttr)}, "workflow_id": {_scalar_text(m.workflow_id)}}}'
-    )
-
-
 @reliability_group.command("metrics")
 @runs_option
 @window_option
@@ -577,11 +566,11 @@ def reliability_metrics_cmd(runs_path: str, window_text: str, fmt: str) -> None:
     records = _read_runs(runs_path)
     if not records:
         raise InputError(f"no run records in {runs_path}")
-    metrics = _all_metrics(records, window)
+    rows = map(_metrics_row, _all_metrics(records, window))
     if fmt == "json":
-        _emit_json(map(_metrics_row, metrics))
+        _emit_json(rows)
     else:
-        _echo_lines(map(_metrics_line, metrics))
+        _echo_lines(map(dumps_line, rows))
 
 
 @reliability_group.command("compare")

@@ -12,7 +12,7 @@ import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -61,9 +61,7 @@ def load_run_records(path: str | Path, warn: Callable[[str], object] = log.warni
 
     Unknown conclusion strings map to ``other`` with a warning, passed to
     ``warn`` (by default, logged); malformed lines raise with their line
-    number.  Runs with equal keys keep their line order.  On lines whose
-    instants never decrease, each workflow's runs are already in time
-    order, and the records are sorted by workflow id alone.
+    number.  Runs with equal keys keep their line order.
     """
     records: list[RunRecord] = []
     append = records.append
@@ -71,8 +69,6 @@ def load_run_records(path: str | Path, warn: Callable[[str], object] = log.warni
     # one string per workflow id and per conclusion, so equal ones compare by identity
     ids: dict[str, str] = {}
     known = {c: c for c in CONCLUSIONS}
-    in_time_order = True
-    last = datetime.min.replace(tzinfo=timezone.utc)
     for lineno, row in read_jsonl(path, "run record", "runs file"):
         try:
             text = str(row["conclusion"])
@@ -86,11 +82,7 @@ def load_run_records(path: str | Path, warn: Callable[[str], object] = log.warni
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: malformed run record: {exc}") from exc
         append(new(RunRecord, (ids.setdefault(workflow_id, workflow_id), commit_sha, committed_at, conclusion)))
-        if committed_at < last:
-            in_time_order = False
-        last = committed_at
-    # both sorts are stable: on time-ordered lines each workflow's runs are in time order already
-    records.sort(key=itemgetter(0) if in_time_order else itemgetter(0, 2))
+    records.sort(key=itemgetter(0, 2))  # (workflow_id, committed_at)
     return records
 
 
