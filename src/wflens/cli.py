@@ -191,8 +191,37 @@ catalog_option = click.option(
 )
 
 
-@click.group()
-@click.version_option(__version__, prog_name="wflens")
+def _show(text: Callable[[click.Context], str]) -> Callable[[click.Context, click.Parameter, bool], None]:
+    """The callback of an eager flag that echoes ``text(ctx)`` on stdout and exits, as click's ``--help`` does."""
+
+    def callback(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+        if value and not ctx.resilient_parsing:
+            _echo(text(ctx))
+            ctx.exit()
+
+    return callback
+
+
+class _Command(click.Command):
+    """A command whose ``--help`` writes through :func:`_echo`, so a failed write exits 74."""
+
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show(click.Context.get_help)
+        return option
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+    group_class = type  # a subgroup is a _Group too
+
+
+@click.group(cls=_Group)
+@click.option(
+    "--version", is_flag=True, expose_value=False, is_eager=True,
+    callback=_show(lambda ctx: f"wflens, version {__version__}"), help="Show the version and exit.",
+)
 def cli() -> None:
     """Analyze GitHub Actions workflow files."""
 

@@ -63,12 +63,11 @@ def load_run_records(path: str | Path, warn: Callable[[str], object] = log.warni
     ``warn`` (by default, logged); malformed lines raise with their line
     number.  Runs with equal keys keep their line order.
     """
-    records: list[RunRecord] = []
-    append = records.append
+    # each workflow's runs in line order; its first run's id string is shared by
+    # the rest, so equal ids compare by identity
+    by_workflow: dict[str, list[RunRecord]] = {}
     new = tuple.__new__  # skips the NamedTuple's generated Python __new__
-    # one string per workflow id and per conclusion, so equal ones compare by identity
-    ids: dict[str, str] = {}
-    known = {c: c for c in CONCLUSIONS}
+    known = {c: c for c in CONCLUSIONS}  # one string per conclusion, too
     for lineno, row in read_jsonl(path, "run record", "runs file"):
         try:
             text = str(row["conclusion"])
@@ -81,8 +80,17 @@ def load_run_records(path: str | Path, warn: Callable[[str], object] = log.warni
             committed_at = parse_instant(row["committed_at"])
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: malformed run record: {exc}") from exc
-        append(new(RunRecord, (ids.setdefault(workflow_id, workflow_id), commit_sha, committed_at, conclusion)))
-    records.sort(key=itemgetter(0, 2))  # (workflow_id, committed_at)
+        runs = by_workflow.get(workflow_id)
+        if runs is None:
+            runs = by_workflow[workflow_id] = []
+        else:
+            workflow_id = runs[0][0]
+        runs.append(new(RunRecord, (workflow_id, commit_sha, committed_at, conclusion)))
+    records: list[RunRecord] = []
+    for workflow_id in sorted(by_workflow):
+        runs = by_workflow[workflow_id]
+        runs.sort(key=itemgetter(2))  # stable, and linear on runs listed in time order
+        records += runs
     return records
 
 
@@ -379,10 +387,14 @@ def _regression_rows(
     terms = ("intercept", "slope")
     # usable ids -> (position, x) of each table over them
     groups: dict[tuple[str, ...], list[tuple[int, np.ndarray]]] = {}
+    usable_ids: dict[frozenset, tuple[str, ...]] = {}  # the usable ids of each key set, sorted once
     unreadable = None  # the error of the first table whose ids or values cannot be read
     for position, (_, _, table) in enumerate(tables):
         try:
-            ids = tuple(w for w in sorted(table) if w in usable)
+            keys = frozenset(table)
+            ids = usable_ids.get(keys)
+            if ids is None:
+                ids = usable_ids[keys] = tuple(w for w in sorted(table) if w in usable)
             x = [float(table[w]) for w in ids]
         except (TypeError, ValueError, OverflowError) as exc:
             unreadable = exc  # raised after the errors of the tables before it

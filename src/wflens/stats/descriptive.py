@@ -31,18 +31,19 @@ def gini(values) -> float:
 
 
 def midranks(values) -> np.ndarray:
-    """Ranks 1..n with ties sharing their average rank."""
+    """Ranks 1..n with ties sharing their average rank.
+
+    A tie is a run of equal sorted values; NaN equals nothing, so each NaN
+    has a rank of its own.  The runs are found by comparing neighbours,
+    not by their difference, which is NaN between two equal infinities.
+    """
     x = np.asarray(values, dtype=float)
     order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(x.size, dtype=float)
     sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.concatenate(([x.size > 0], sx[1:] != sx[:-1])))  # of each run
+    sizes = np.diff(np.append(starts, x.size))
+    ranks = np.empty(x.size, dtype=float)
+    ranks[order] = np.repeat((2 * starts + sizes - 1) / 2.0 + 1.0, sizes)
     return ranks
 
 

@@ -26,7 +26,6 @@ from wflens.stats import (
     logistic_score,
     mann_kendall,
     mann_whitney_u,
-    midranks,
 )
 
 from conftest import FIXTURES, build_reliability_files
@@ -79,9 +78,11 @@ def test_c4_stats_against_independent_oracles():
 
     # Mann-Whitney: normal approximation vs exact enumeration
     def exact_enumeration(x, y):
+        from scipy.stats import rankdata
+
         pooled = list(x) + list(y)
         n = len(x)
-        ranks = midranks(pooled)
+        ranks = rankdata(pooled, method="average")
 
         def u_of(idx):
             return sum(ranks[i] for i in idx) - n * (n + 1) / 2

@@ -9,9 +9,10 @@ too) writes seeds 1-2 of a 300-workflow runs/sizes pair next to them, and
 ``reliability metrics`` (jsonl and json) and ``reliability compare`` run on
 each pair over the generator's window.  One sha256 over (argv, exit code,
 stdout, stderr) per case is compared with ``fixtures/corpus_digests.json``.
-``reliability metrics`` on the seed-1 runs in shuffled, workflow-grouped and
-reverse line order must give the time-ordered case's digest, with each
-warning mapped back to its line in the time-ordered file.
+``reliability metrics`` (jsonl) and ``reliability compare`` on the seed-1 runs
+in shuffled, workflow-grouped and reverse line order must give the
+time-ordered case's digest, with each warning mapped back to its line in the
+time-ordered file.
 The generated files are digested too, so that a change to a generator or
 to PyYAML's emitter fails as "input changed", not as a wrong output.  The
 corpus digests hold for libyaml's error wording.  ``reliability regress``
@@ -141,7 +142,7 @@ def test_output_digest_matches_recording(case, corpora, recorded, monkeypatch):
 
 
 RUN_ORDERS = ("shuffled", "grouped", "reverse")
-"""Line orders of the seed-1 runs file that ``reliability metrics`` must not see."""
+"""Line orders of the seed-1 runs file that ``reliability metrics`` and ``compare`` must not see."""
 
 
 def reordered(lines: list[str], order: str) -> list[int]:
@@ -156,18 +157,26 @@ def reordered(lines: list[str], order: str) -> list[int]:
     return indices
 
 
-@pytest.mark.parametrize("order", RUN_ORDERS)
-def test_run_line_order_keeps_the_metrics_digest(order, corpora, recorded, monkeypatch):
+@pytest.mark.parametrize(
+    "order, case",
+    [
+        pytest.param(order, f"runs1-{command}", id=order if command.endswith("jsonl") else f"{order}-compare")
+        for command in ("reliability-metrics-jsonl", "reliability-compare")
+        for order in RUN_ORDERS
+    ],
+)
+def test_run_line_order_keeps_the_metrics_digest(order, case, corpora, recorded, monkeypatch):
     """Each warning is mapped back to its line in the time-ordered file, and the
     warnings to that file's order; then the digest is the time-ordered case's."""
     root, inputs = corpora
-    case = "runs1-reliability-metrics-jsonl"
     argv = case_argv(case)
     lines = (root / "runs1" / "runs.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
     indices = reordered(lines, order)
     assert indices != sorted(indices)
-    (root / order / "runs1").mkdir(parents=True)
+    (root / order / "runs1").mkdir(parents=True, exist_ok=True)
     (root / order / "runs1" / "runs.jsonl").write_text("".join(lines[i] for i in indices), encoding="utf-8")
+    if "compare" in case:
+        (root / order / "runs1" / "sizes.jsonl").write_bytes((root / "runs1" / "sizes.jsonl").read_bytes())
     monkeypatch.chdir(root / order)
     result = CliRunner().invoke(cli, argv)
     prefix = "runs1/runs.jsonl:"

@@ -78,6 +78,38 @@ def test_midranks_with_ties():
     assert list(midranks([5, 5, 5])) == [2.0, 2.0, 2.0]
 
 
+def oracle_midranks(values) -> np.ndarray:
+    """The element-by-element loop: each tie run grows while the next sorted value equals its first."""
+    x = np.asarray(values, dtype=float)
+    order = np.argsort(x, kind="mergesort")
+    ranks = np.empty(x.size, dtype=float)
+    sx = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+RANKED_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+    st.integers(-3, 3).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(st.lists(RANKED_VALUES, max_size=40))
+@example([])
+@example([2.0])
+@example([math.inf, -math.inf, math.inf, -math.inf, 1.0])
+@example([math.nan, 0.0, math.nan, -0.0, 0.0])
+def test_midranks_match_the_loop_bit_for_bit(values):
+    assert midranks(values).tobytes() == oracle_midranks(values).tobytes()
+
+
 def test_spearman_hand_value():
     assert spearman([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8, abs=1e-12)
 
@@ -163,10 +195,12 @@ def test_five_number_leaves_its_input_alone():
 
 
 def exact_p_by_enumeration(x, y) -> float:
-    """Independent pure-Python permutation oracle for tiny samples."""
+    """Independent pure-Python permutation oracle for tiny samples, on scipy's average ranks."""
+    from scipy.stats import rankdata
+
     pooled = list(x) + list(y)
     n = len(x)
-    ranks = midranks(pooled)
+    ranks = rankdata(pooled, method="average")
 
     def u_of(idx):
         rank_sum = sum(ranks[i] for i in idx)

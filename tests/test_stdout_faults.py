@@ -1,4 +1,4 @@
-"""A failed write to stdout ends every streamed command with exit code 74 and no traceback.
+"""A failed write to stdout ends every streamed command, and ``--help`` and ``--version``, with exit code 74 and no traceback.
 
 Each command runs in its own process, as an installed ``wflens`` would:
 
@@ -43,6 +43,10 @@ COMMANDS = {
     "corpus-stats": ["corpus", "stats", "corpus"],
     "catalog-extract": ["catalog", "extract", "corpus"],
     "reliability-metrics": ["reliability", "metrics", "--runs", "pair/runs.jsonl", *WINDOW],
+    "help": ["--help"],
+    "version": ["--version"],
+    "group-help": ["reliability", "--help"],
+    "command-help": ["reliability", "compare", "--help"],
 }
 IN_PARTS = ["scan-json", "scan-jsonl", "scan-text", "lint", "reliability-metrics"]
 """Commands whose output here comes in several writes: 300 files, 256 lines or 8,192 JSON pieces per write."""
