@@ -107,6 +107,15 @@ MAX_DEPTH = 256
 MAX_PATHS = 200_000
 """Most paths a document may hold once its aliases are expanded."""
 
+MAX_CHARS = 64 * MAX_PATHS
+"""Most characters a workflow file may hold, counted in text mode after decoding.
+
+Generated research-shaped workflows hold about 19 characters per path and
+none more than 25, so 64 per path lets a file written out to the path
+budget without aliases fit, while reading any file costs at most this
+much text.
+"""
+
 _BOOL_WORDS = yaml.constructor.SafeConstructor.bool_values
 _SCALAR_KINDS = {
     "tag:yaml.org,2002:str": "string",
@@ -168,18 +177,6 @@ def _error_at(node: yaml.Node, message: str) -> WorkflowParseError:
 
 def _too_deep(node: yaml.Node | yaml.Event) -> WorkflowParseError:
     return _error_at(node, f"collections nested deeper than {MAX_DEPTH} levels")
-
-
-def _too_many_paths(node: yaml.Node) -> WorkflowParseError:
-    return _error_at(node, f"more than {MAX_PATHS} paths after alias expansion")
-
-
-def _cycle(node: yaml.Node) -> WorkflowParseError:
-    return _error_at(node, "recursive alias cycle")
-
-
-def _duplicate_key(node: yaml.Node, key: str) -> WorkflowParseError:
-    return _error_at(node, f"duplicate mapping key {key!r}")
 
 
 def _tag(node: yaml.ScalarNode) -> str:
@@ -271,68 +268,56 @@ def compose_workflow(text: str) -> yaml.MappingNode:
     return root
 
 
-def _convert(root: yaml.MappingNode) -> Mapping:
-    """Build the tree, expanding aliases, within the depth and path budgets."""
-    active: set[int] = set()
-    n_paths = 0
+def _convert(node: yaml.Node, top_level: bool) -> Node:
+    """The tree of a node graph that ``scan._walk`` has checked, aliases expanded.
 
-    def convert(node: yaml.Node, top_level: bool, depth: int) -> Node:
-        nonlocal n_paths
-        if id(node) in active:
-            raise _cycle(node)
-        if isinstance(node, yaml.ScalarNode):
-            return _scalar_value(node)
-        if depth > MAX_DEPTH:
-            raise _too_deep(node)
-        active.add(id(node))
-        try:
-            if isinstance(node, yaml.SequenceNode):
-                items: list[Node] = []
-                for item in node.value:
-                    n_paths += 1
-                    if n_paths > MAX_PATHS:
-                        raise _too_many_paths(item)
-                    items.append(convert(item, False, depth + 1))
-                return Sequence(tuple(items))
-            assert isinstance(node, yaml.MappingNode)
-            entries: list[tuple[str, Node]] = []
-            seen: set[str] = set()
-            for key_node, value_node in node.value:
-                key = _key_text(key_node, top_level)
-                if key in seen:
-                    raise _duplicate_key(key_node, key)
-                seen.add(key)
-                n_paths += 1
-                if n_paths > MAX_PATHS:
-                    raise _too_many_paths(key_node)
-                entries.append((key, convert(value_node, False, depth + 1)))
-            return Mapping(tuple(entries))
-        finally:
-            active.discard(id(node))
-
-    converted = convert(root, True, 1)
-    assert isinstance(converted, Mapping)
-    return converted
+    Loops, not comprehensions: on Python 3.10 and 3.11 a comprehension is a
+    frame of its own, and this needs only about :data:`MAX_DEPTH` frames.
+    """
+    if isinstance(node, yaml.ScalarNode):
+        return _scalar_value(node)
+    if isinstance(node, yaml.SequenceNode):
+        items: list[Node] = []
+        for item in node.value:
+            items.append(_convert(item, False))
+        return Sequence(tuple(items))
+    entries: list[tuple[str, Node]] = []
+    for key_node, value_node in node.value:
+        entries.append((_key_text(key_node, top_level), _convert(value_node, False)))
+    return Mapping(tuple(entries))
 
 
 def parse_workflow(text: str) -> WorkflowTree:
     """Parse one YAML document into a :class:`WorkflowTree`.
 
-    Anchors and aliases are expanded; duplicate mapping keys, multi-document
+    Anchors and aliases are expanded; repeated mapping keys, multi-document
     streams, and non-mapping roots are rejected.  A UTF-8 BOM is tolerated.
     Nesting past :data:`MAX_DEPTH` and more than :data:`MAX_PATHS` paths
-    are rejected at the node where the budget runs out.
+    are rejected at the node where the budget runs out.  The checks are the
+    scan walk's, so this raises the first error ``scan_text`` reports.
     """
-    return WorkflowTree(_convert(compose_workflow(text)))
+    from .catalog import default_catalog  # both modules import this one
+    from .scan import _walk
+
+    root = compose_workflow(text)
+    _walk(root, default_catalog().index)
+    return WorkflowTree(_convert(root, True))
 
 
 def read_workflow_text(path: str | Path) -> str:
-    """The text of a workflow file; undecodable bytes raise :class:`WorkflowParseError`."""
+    """The text of a workflow file.
+
+    Undecodable bytes and more than :data:`MAX_CHARS` characters raise
+    :class:`WorkflowParseError`; at most one character past the budget is read.
+    """
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            return fh.read()
+            text = fh.read(MAX_CHARS + 1)
     except UnicodeDecodeError as exc:
         raise WorkflowParseError(f"cannot decode file as UTF-8: {exc}") from exc
+    if len(text) > MAX_CHARS:
+        raise WorkflowParseError(f"file holds more than {MAX_CHARS} characters")
+    return text
 
 
 def parse_workflow_file(path: str | Path) -> WorkflowTree:

@@ -38,11 +38,9 @@ from .model import (
     MAX_DEPTH,
     MAX_PATHS,
     WorkflowParseError,
-    _cycle,
-    _duplicate_key,
+    _error_at,
     _key_text,
     _too_deep,
-    _too_many_paths,
     compose_workflow,
     read_workflow_text,
 )
@@ -65,16 +63,19 @@ class ScanResult:
         return self.metrics is not None and not self.metrics.unknown_constructs
 
 
-def _walk(root: yaml.MappingNode, index: ScanIndex) -> tuple[dict[ConstructNode, int], int]:
-    """Construct counts and path total.
+def _too_many_paths(node: yaml.Node) -> WorkflowParseError:
+    return _error_at(node, f"more than {MAX_PATHS} paths after alias expansion")
 
-    One pre-order walk gives the construct bag that ``enumerate_paths`` →
-    ``abstract_workflow`` give for ``parse_workflow``'s tree, and raises the
-    same first error, but builds no tree and no path list.  Counts are keyed
-    by index node in the order the constructs are first met; a construct
-    outside the index gets a node of this walk's own.  It recurses once per
-    collection, so it needs :data:`MAX_DEPTH` frames of headroom;
-    ``active`` holds the collections on the path, for the cycle check.
+
+def _walk(root: yaml.MappingNode, index: ScanIndex) -> tuple[dict[ConstructNode, int], int]:
+    """Construct counts and path total; the one check of a composed document.
+
+    One pre-order walk raises a document's first error at its mark, for
+    ``scan_text`` and ``parse_workflow`` alike.  Counts are keyed by index
+    node in the order the constructs are first met; a construct outside the
+    index gets a node of this walk's own.  It recurses once per collection,
+    so it needs :data:`MAX_DEPTH` frames of headroom; ``active`` holds the
+    collections on the path, for the cycle check.
     """
     counts: dict[ConstructNode, int] = {}
     own: dict[tuple[ConstructNode, object], ConstructNode] = {}
@@ -89,7 +90,7 @@ def _walk(root: yaml.MappingNode, index: ScanIndex) -> tuple[dict[ConstructNode,
     def visit(node: yaml.Node, at: ConstructNode, depth: int, n_paths: int) -> int:
         """Count the paths below ``node``, a collection of construct ``at``; the path total after them."""
         if id(node) in active:
-            raise _cycle(node)
+            raise _error_at(node, "recursive alias cycle")
         if depth > MAX_DEPTH:
             raise _too_deep(node)
         active.add(id(node))
@@ -112,7 +113,7 @@ def _walk(root: yaml.MappingNode, index: ScanIndex) -> tuple[dict[ConstructNode,
                 if top_level or not isinstance(key_node, yaml.ScalarNode):
                     key = _key_text(key_node, top_level)
                 if key in keys:
-                    raise _duplicate_key(key_node, key)
+                    raise _error_at(key_node, f"duplicate mapping key {key!r}")
                 keys.add(key)
                 n_paths += 1
                 if n_paths > MAX_PATHS:
@@ -125,10 +126,10 @@ def _walk(root: yaml.MappingNode, index: ScanIndex) -> tuple[dict[ConstructNode,
         active.discard(id(node))
         return n_paths
 
-    n_paths = visit(root, index.root, 1, 0)
-    if not n_paths:
-        raise WorkflowParseError("workflow mapping is empty")
-    return counts, n_paths
+    try:
+        return counts, visit(root, index.root, 1, 0)
+    finally:
+        del visit  # it refers to itself through its closure cell
 
 
 def scan_text(text: str, file: str, catalog: Catalog | None = None) -> ScanResult:
@@ -139,6 +140,8 @@ def scan_text(text: str, file: str, catalog: Catalog | None = None) -> ScanResul
         counts, n_paths = _walk(compose_workflow(text), index)
     except WorkflowParseError as exc:
         return ScanResult(file, exc)
+    if not n_paths:
+        return ScanResult(file, WorkflowParseError("workflow mapping is empty"))
     bag = ConstructBag({node.construct: n for node, n in counts.items()}, n_paths)
     tally = tally_constructs([(node.text, node.construct, n, node.entry) for node, n in counts.items()])
     return ScanResult(file, None, bag, metrics_from_tally(tally, bag, index.feature_sizes))
