@@ -13,7 +13,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -32,7 +31,7 @@ from .stats import (
     linear_quantiles,
     mann_whitney_u,
 )
-from .stats.glm import _ALL_ZERO, _RANK_DEFICIENT, _Binomial, _Counts, _fit_logistic, _fit_negbin, _full_rank
+from .stats.glm import _ALL_ZERO, _Binomial, _Counts, _as_design, _fit_logistic, _fit_negbin
 
 log = logging.getLogger(__name__)
 
@@ -63,9 +62,8 @@ def load_run_records(path: str | Path, warn: Callable[[str], object] = log.warni
     ``warn`` (by default, logged); malformed lines raise with their line
     number.  Runs with equal keys keep their line order.
     """
-    # each workflow's runs in line order; its first run's id string is shared by
-    # the rest, so equal ids compare by identity
-    by_workflow: dict[str, list[RunRecord]] = {}
+    records: list[RunRecord] = []
+    ids: dict[str, str] = {}  # one string per workflow id, shared by its runs
     new = tuple.__new__  # skips the NamedTuple's generated Python __new__
     known = {c: c for c in CONCLUSIONS}  # one string per conclusion, too
     for lineno, row in read_jsonl(path, "run record", "runs file"):
@@ -80,15 +78,11 @@ def load_run_records(path: str | Path, warn: Callable[[str], object] = log.warni
             committed_at = parse_instant(row["committed_at"])
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: malformed run record: {exc}") from exc
-        runs = by_workflow.get(workflow_id)
-        if runs is None:
-            runs = by_workflow[workflow_id] = []
-        else:
-            workflow_id = runs[0][0]
-        runs.append(new(RunRecord, (workflow_id, commit_sha, committed_at, conclusion)))
-    records: list[RunRecord] = []
-    for workflow_id in sorted(by_workflow):
-        runs = by_workflow[workflow_id]
+        workflow_id = ids.setdefault(workflow_id, workflow_id)
+        records.append(new(RunRecord, (workflow_id, commit_sha, committed_at, conclusion)))
+    groups = group_records(records)
+    records = []
+    for runs in groups.values():
         runs.sort(key=itemgetter(2))  # stable, and linear on runs listed in time order
         records += runs
     return records
@@ -221,8 +215,14 @@ def reliability_metrics(
 
 def group_records(records: list[RunRecord]) -> dict[str, list[RunRecord]]:
     """Each workflow's records in input order, keyed by workflow id in sorted order."""
-    by_workflow = itemgetter(0)
-    return {w: list(g) for w, g in groupby(sorted(records, key=by_workflow), key=by_workflow)}
+    groups: dict[str, list[RunRecord]] = {}
+    for record in records:
+        runs = groups.get(record[0])
+        if runs is None:
+            groups[record[0]] = [record]
+        else:
+            runs.append(record)
+    return {w: groups[w] for w in sorted(groups)}
 
 
 @dataclass(frozen=True)
@@ -360,13 +360,6 @@ class RegressionRow:
     n: int
 
 
-def _designs(members: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """The stack of designs [1, x] of tables given as (position, x)."""
-    stack = np.ones((len(members), len(members[0][1]), 2))
-    stack[:, :, 1] = [x for _, x in members]
-    return stack
-
-
 def _regression_rows(
     tables: list[tuple[str, str, dict[str, float]]],
     metrics: list[ReliabilityMetrics],
@@ -380,58 +373,43 @@ def _regression_rows(
     the same usable workflows (usually all of them) share their two
     prepared outcomes and are fitted together, in stacks of at most
     :data:`_STACK_ROWS` design rows, one stacked call per model; a table's
-    fits are those it would get alone.  Errors are raised in table order,
-    as fitting one table at a time would raise them.
+    fits are those it would get alone.  Tables are checked in order, so
+    errors come in table order, as fitting one table at a time raises them.
     """
     usable = {m.workflow_id: m for m in metrics if m.n_runs_counted >= max(min_runs, 1)}
     terms = ("intercept", "slope")
-    # usable ids -> (position, x) of each table over them
-    groups: dict[tuple[str, ...], list[tuple[int, np.ndarray]]] = {}
     usable_ids: dict[frozenset, tuple[str, ...]] = {}  # the usable ids of each key set, sorted once
-    unreadable = None  # the error of the first table whose ids or values cannot be read
+    # usable ids -> their two prepared outcomes and the (position, design [1, x]) of each table over them
+    groups: dict[tuple[str, ...], tuple[_Binomial, _Counts, list[tuple[int, np.ndarray]]]] = {}
     for position, (_, _, table) in enumerate(tables):
-        try:
-            keys = frozenset(table)
-            ids = usable_ids.get(keys)
-            if ids is None:
-                ids = usable_ids[keys] = tuple(w for w in sorted(table) if w in usable)
-            x = [float(table[w]) for w in ids]
-        except (TypeError, ValueError, OverflowError) as exc:
-            unreadable = exc  # raised after the errors of the tables before it
-            break
-        if len(ids) >= 3 and len(set(x)) >= 2:
-            groups.setdefault(ids, []).append((position, np.array(x)))
-    stacks = []  # (ids, [(position, x), ...]) of each stack of at most _STACK_ROWS design rows
-    for ids, members in groups.items():
-        size = max(1, _STACK_ROWS // len(ids))
-        stacks.extend((ids, members[start : start + size]) for start in range(0, len(members), size))
-    checks = [  # (position, ids, full rank) of each table fitted
-        (position, ids, full_rank)
-        for ids, members in stacks
-        for (position, _), full_rank in zip(members, _full_rank(_designs(members)).tolist())
-    ]
-
-    outcomes: dict[tuple[str, ...], tuple[_Binomial, _Counts]] = {}
-    for _, ids, full_rank in sorted(checks, key=itemgetter(0)):
-        if not full_rank:
-            raise ValueError(_RANK_DEFICIENT)
-        if ids not in outcomes:
+        keys = frozenset(table)
+        ids = usable_ids.get(keys)
+        if ids is None:
+            ids = usable_ids[keys] = tuple(w for w in sorted(table) if w in usable)
+        x = [float(table[w]) for w in ids]
+        if len(ids) < 3 or len(set(x)) < 2:
+            continue
+        design = _as_design(np.column_stack((np.ones(len(x)), x)))  # raises if rank deficient
+        group = groups.get(ids)
+        if group is None:
             rows = [usable[w] for w in ids]
-            outcomes[ids] = (
+            group = groups[ids] = (
                 _Binomial([m.n_failures for m in rows], [m.n_runs_counted for m in rows]),
                 _Counts([m.n_commits for m in rows]),
+                [],
             )
-        if not outcomes[ids][1].any_positive:
+        if not group[1].any_positive:
             raise ValueError(_ALL_ZERO)
-    if unreadable is not None:
-        raise unreadable
+        group[2].append((position, design))
 
     fits = {}
-    for ids, members in stacks:
-        binomial, counts = outcomes[ids]
-        designs = _designs(members)
-        pairs = zip(_fit_logistic(designs, binomial, terms), _fit_negbin(designs, counts, terms))
-        fits.update((position, (len(ids), pair)) for (position, _), pair in zip(members, pairs))
+    for ids, (binomial, counts, members) in groups.items():
+        size = max(1, _STACK_ROWS // len(ids))
+        for start in range(0, len(members), size):
+            stack = members[start : start + size]
+            designs = np.stack([design for _, design in stack])
+            pairs = zip(_fit_logistic(designs, binomial, terms), _fit_negbin(designs, counts, terms))
+            fits.update((position, (len(ids), pair)) for (position, _), pair in zip(stack, pairs))
     results = []
     for position, (n, pair) in sorted(fits.items()):
         predictor, analysis, _ = tables[position]

@@ -132,6 +132,14 @@ def _walk(root: yaml.MappingNode, index: ScanIndex) -> tuple[dict[ConstructNode,
         del visit  # it refers to itself through its closure cell
 
 
+def _failed(file: str, error: WorkflowParseError) -> ScanResult:
+    """A failed result.  Its error and that error's cause drop their tracebacks, whose frames
+    hold the text, the nodes and, in a cycle, the frame of a caller that keeps the result."""
+    if error.__cause__ is not None:
+        error.__cause__.with_traceback(None)
+    return ScanResult(file, error.with_traceback(None))
+
+
 def scan_text(text: str, file: str, catalog: Catalog | None = None) -> ScanResult:
     if catalog is None:
         catalog = default_catalog()
@@ -139,7 +147,7 @@ def scan_text(text: str, file: str, catalog: Catalog | None = None) -> ScanResul
     try:
         counts, n_paths = _walk(compose_workflow(text), index)
     except WorkflowParseError as exc:
-        return ScanResult(file, exc)
+        return _failed(file, exc)
     if not n_paths:
         return ScanResult(file, WorkflowParseError("workflow mapping is empty"))
     bag = ConstructBag({node.construct: n for node, n in counts.items()}, n_paths)
@@ -154,7 +162,7 @@ def scan_file(path: str | Path, catalog: Catalog | None = None) -> ScanResult:
     except OSError as exc:
         return ScanResult(file, WorkflowParseError(f"cannot read file: {exc}"))
     except WorkflowParseError as exc:
-        return ScanResult(file, exc)
+        return _failed(file, exc)
     return scan_text(text, file, catalog)
 
 

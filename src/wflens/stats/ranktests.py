@@ -30,24 +30,14 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _u_statistic(x: np.ndarray, y: np.ndarray) -> float:
-    """U for x: pairs with x > y count 1, ties count 1/2."""
-    combined = np.concatenate([x, y])
-    ranks = midranks(combined)
-    rank_sum = ranks[: x.size].sum()
-    return float(rank_sum - x.size * (x.size + 1) / 2.0)
-
-
-def _exact_p(x: np.ndarray, y: np.ndarray, u: float) -> float:
-    """Two-sided exact permutation p for U under label exchange.
+def _exact_p(ranks: np.ndarray, n: int, u: float) -> float:
+    """Two-sided exact permutation p for U of the first ``n`` pooled ranks.
 
     The permutation distribution is symmetric about nm/2, so the two-sided
     p is the mass at or beyond U and its mirror image.
     """
-    n, m = x.size, y.size
-    combined = np.concatenate([x, y])
-    ranks = midranks(combined)
-    idx = np.array(list(combinations(range(n + m), n)), dtype=np.intp)
+    m = ranks.size - n
+    idx = np.array(list(combinations(range(ranks.size), n)), dtype=np.intp)
     u_all = ranks[idx].sum(axis=1) - n * (n + 1) / 2.0
     lo = min(u, n * m - u)
     hi = max(u, n * m - u)
@@ -56,13 +46,12 @@ def _exact_p(x: np.ndarray, y: np.ndarray, u: float) -> float:
     return float(count / u_all.size)
 
 
-def _normal_p(x: np.ndarray, y: np.ndarray, u: float) -> float:
+def _normal_p(pooled: np.ndarray, n: int, u: float) -> float:
     """Two-sided normal approximation with tie and continuity corrections."""
-    n, m = x.size, y.size
-    total = n + m
+    total = pooled.size
+    m = total - n
     mean = n * m / 2.0
-    combined = np.concatenate([x, y])
-    _, tie_counts = np.unique(combined, return_counts=True)
+    _, tie_counts = np.unique(pooled, return_counts=True)
     tie_term = float(((tie_counts**3 - tie_counts).sum()))
     variance = n * m / 12.0 * ((total + 1) - tie_term / (total * (total - 1)))
     if variance <= 0:  # all observations identical
@@ -76,20 +65,22 @@ def mann_whitney_u(x, y, method: str = "auto") -> TestResult:
     """Two-sided Mann-Whitney U test; returns U for the first sample.
 
     ``method`` is ``auto`` (exact when n+m <= 16, else normal), ``exact``,
-    or ``normal``.
+    or ``normal``.  U counts the pairs with x > y as 1 and ties as 1/2.
     """
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
     if a.size == 0 or b.size == 0:
         raise ValueError("mann_whitney_u requires two non-empty samples")
-    u = _u_statistic(a, b)
+    pooled = np.concatenate([a, b])
+    ranks = midranks(pooled)
+    u = float(ranks[: a.size].sum() - a.size * (a.size + 1) / 2.0)
     if method == "auto":
-        method = "exact" if a.size + b.size <= EXACT_LIMIT else "normal"
+        method = "exact" if pooled.size <= EXACT_LIMIT else "normal"
     if method == "exact":
-        p = _exact_p(a, b, u)
+        p = _exact_p(ranks, a.size, u)
         name = "mann-whitney-u-exact"
     elif method == "normal":
-        p = _normal_p(a, b, u)
+        p = _normal_p(pooled, a.size, u)
         name = "mann-whitney-u-normal"
     else:
         raise ValueError(f"unknown method {method!r}")

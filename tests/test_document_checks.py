@@ -10,6 +10,7 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,22 @@ def test_scans_and_parses_leave_no_cyclic_garbage(corpus_files):
         gc.set_debug(0)
         gc.garbage.clear()
     assert littered == []
+
+
+def test_failed_scans_keep_no_node_graph():
+    # 1,000 jobs, then a duplicate key: the walk fails after composing every node
+    text = "on: push\njobs:\n" + "".join(
+        f"  j{i}:\n    runs-on: ubuntu-latest\n    steps:\n      - run: echo {i}\n" for i in range(1000)
+    ) + "on: pull_request\n"
+    wflens.scan_text(text, "doc.yml")  # builds the default catalog's index first
+    tracemalloc.start()
+    try:
+        results = [wflens.scan_text(text, "doc.yml") for _ in range(5)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [fields(r.error) for r in results] == [("duplicate mapping key 'on'", 4003, 1)] * 5
+    assert held < 2_000_000, f"five failed results hold {held} bytes"
 
 
 def test_file_over_the_character_budget_exits_2(tmp_path):

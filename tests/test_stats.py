@@ -280,6 +280,48 @@ def test_mwu_rejects_empty():
         mann_whitney_u([], [1, 2])
 
 
+def mwu_ranking_twice(x, y, method):
+    """(U, p) as mann_whitney_u once computed them: each step pools and ranks the samples again."""
+    a = np.asarray(x, dtype=float)
+    b = np.asarray(y, dtype=float)
+    n, m = a.size, b.size
+    u = float(midranks(np.concatenate([a, b]))[:n].sum() - n * (n + 1) / 2.0)
+    if method == "auto":
+        method = "exact" if n + m <= 16 else "normal"
+    if method == "exact":
+        ranks = midranks(np.concatenate([a, b]))
+        idx = np.array(list(itertools.combinations(range(n + m), n)), dtype=np.intp)
+        u_all = ranks[idx].sum(axis=1) - n * (n + 1) / 2.0
+        lo, hi = min(u, n * m - u), max(u, n * m - u)
+        return u, float(np.count_nonzero((u_all <= lo + 1e-9) | (u_all >= hi - 1e-9)) / u_all.size)
+    total = n + m
+    _, tie_counts = np.unique(np.concatenate([a, b]), return_counts=True)
+    tie_term = float(((tie_counts**3 - tie_counts).sum()))
+    variance = n * m / 12.0 * ((total + 1) - tie_term / (total * (total - 1)))
+    if variance <= 0:
+        return u, 1.0
+    z = max(abs(u - n * m / 2.0) - 0.5, 0.0) / math.sqrt(variance)
+    return u, min(1.0, 2.0 * (0.5 * math.erfc(z / math.sqrt(2.0))))
+
+
+MWU_SAMPLE = st.lists(
+    st.integers(-3, 3).map(float) | st.sampled_from([math.inf, -math.inf, 0.5]) | st.floats(-1e6, 1e6),
+    min_size=1,
+    max_size=20,
+)
+
+
+@given(MWU_SAMPLE, MWU_SAMPLE, st.sampled_from(["auto", "normal"]))
+@example([1.0], [2.0], "exact")
+@example([math.inf] * 8, [-math.inf] * 8, "auto")
+@example([0.5, 0.5, math.inf], [0.5, -math.inf, 0.5, 0.5], "exact")
+def test_mwu_matches_ranking_twice_bit_for_bit(x, y, method):
+    # "auto" takes the exact path up to 16 values in all, and the normal one beyond
+    result = mann_whitney_u(x, y, method=method)
+    u, p = mwu_ranking_twice(x, y, method)
+    assert (result.statistic.hex(), result.p_value.hex()) == (u.hex(), p.hex())
+
+
 # ------------------------------------------------------------------ Cliff's delta
 
 
